@@ -6,17 +6,19 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
   straight from the neighbour list (bit-equal to the dense builder);
 * :mod:`~repro.linscale.regions` — per-atom localization regions
   (core + halo subgraphs of the neighbour graph within ``r_loc``);
-* :mod:`~repro.linscale.foe_local` — the Chebyshev Fermi-operator
-  expansion evaluated region-by-region: moments → μ, core density rows →
-  band energy, entropy, Mulliken populations, Hellmann–Feynman forces;
-* :mod:`~repro.linscale.kfoe` — the k-point-parallel engine: the same
-  region recursion on complex Bloch Hamiltonians H(k), one spectral
-  window per k, MP-weighted moments → one common μ, weighted per-k
-  density matrices and forces (small-cell metals, strain sweeps);
-* :mod:`~repro.linscale.backends` — pluggable array backends for the
-  region recursions (``numpy_loop`` reference, ``numpy_batched``
-  shape-bucketed stacked GEMMs, optional ``numba``), selected per
-  calculator/solve or via ``REPRO_BACKEND``;
+* :mod:`~repro.linscale.foe_local` — the one region engine: the
+  Chebyshev Fermi-operator expansion evaluated region-by-region over a
+  list of Hamiltonians H(k) with sampling weights — moments → one common
+  μ, core density rows → band energy, entropy, Mulliken populations,
+  Hellmann–Feynman forces.  Its Γ entry points are the one-k-point,
+  weight-1 case;
+* :mod:`~repro.linscale.kfoe` — the k-sampled entry points of that
+  engine (complex Bloch Hamiltonians, one spectral window per k) and the
+  MP-weighted force contraction (small-cell metals, strain sweeps);
+* :mod:`~repro.linscale.backends` — array backends for the region
+  recursions (``numpy_loop`` reference, ``numpy_batched``
+  shape-bucketed stacked GEMMs), selected per calculator/solve or via
+  ``REPRO_BACKEND``;
 * :mod:`~repro.linscale.calculator` — :class:`LinearScalingCalculator`
   (drop-in for :class:`~repro.tb.calculator.TBCalculator` in MD,
   relaxation and the CLI, Γ or k-sampled via ``kpts=``) and
@@ -27,7 +29,6 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
 from repro.linscale.backends import (
     available_backends,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.linscale.calculator import (
@@ -36,13 +37,11 @@ from repro.linscale.calculator import (
 )
 from repro.linscale.foe_local import (
     RegionFOEResult,
-    chemical_potential_from_moments,
     solve_density_regions,
     solve_density_regions_fused,
     sparse_band_forces,
 )
 from repro.linscale.kfoe import (
-    KRegionFOEResult,
     solve_density_regions_k,
     solve_density_regions_k_fused,
     sparse_band_forces_k,
@@ -64,7 +63,6 @@ __all__ = [
     "LinearScalingCalculator",
     "DensityMatrixCalculator",
     "RegionFOEResult",
-    "KRegionFOEResult",
     "solve_density_regions",
     "solve_density_regions_fused",
     "solve_density_regions_k",
@@ -72,7 +70,6 @@ __all__ = [
     "sparse_band_forces",
     "sparse_band_forces_k",
     "spectral_windows_k",
-    "chemical_potential_from_moments",
     "LocalizationRegion",
     "extract_regions",
     "region_statistics",
@@ -82,6 +79,5 @@ __all__ = [
     "hamiltonian_fill_fraction",
     "available_backends",
     "get_backend",
-    "register_backend",
     "resolve_backend",
 ]

@@ -246,8 +246,10 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         ``None`` to resolve from the ``REPRO_BACKEND`` environment
         variable / the package default.  Backends are physics-equivalent
         (conformance-tested); ``numpy_batched`` runs each shape bucket of
-        regions as one stacked-GEMM recursion and is the fast choice for
-        inline (``nworkers == 1``) MD.
+        regions as one stacked-GEMM recursion, which wins only for small
+        regions (measured on 512-atom Si at order 150: about 2× faster
+        than the loop at r_loc 4.2 Å, 2.8× slower at the default
+        6.24 Å).
     """
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,
@@ -321,8 +323,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self._hbuilder.reset()
         self._regions = None
         self._regions_sig = None
-        self._window = None
-        self._windows_k = None
+        self._windows = None
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
         self._gmaps = None
@@ -369,22 +370,16 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self._regions_sig = (nl_loc.i.copy(), nl_loc.j.copy())
         return self._regions
 
-    def _refresh_window(self, H) -> tuple[float, float]:
-        """Recompute and cache the padded Chebyshev window (refreshed on
-        neighbour-list rebuilds; see :func:`_padded_lanczos_window`)."""
-        self._window = _padded_lanczos_window(H)
+    def _refresh_windows(self, H_k) -> list[tuple[float, float]]:
+        """Recompute and cache one padded Chebyshev window per H(k) — a
+        one-entry list at Γ (refreshed on neighbour-list rebuilds; see
+        :func:`_padded_lanczos_window`).  Bloch spectra shift with k, so
+        one shared window would either leak or over-widen every
+        expansion."""
+        self._windows = [_padded_lanczos_window(H) for H in H_k]
         self._counters["window_refreshes"] += 1
         obs.counter_inc("window.refresh")
-        return self._window
-
-    def _refresh_windows_k(self, H_k) -> list[tuple[float, float]]:
-        """Per-k twin of :meth:`_refresh_window` — one padded window per
-        H(k) (Bloch spectra shift with k, so one shared window would
-        either leak or over-widen every expansion)."""
-        self._windows_k = [_padded_lanczos_window(H) for H in H_k]
-        self._counters["window_refreshes"] += 1
-        obs.counter_inc("window.refresh")
-        return self._windows_k
+        return self._windows
 
     #: cap on cached densification-map memory (bytes); beyond it the
     #: fused solve falls back to CSR slicing — maps cost O(Σ n_region²),
@@ -525,35 +520,26 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
             if kmode:
                 kcarts = frac_to_cartesian(self.kpts_frac, atoms.cell)
                 H_k = self._hbuilder.build_k(atoms, nl, kcarts, moved=moved)
-                m_orbitals = H_k[0].shape[0]
             else:
-                H = self._hbuilder.build(atoms, nl, moved=moved)
-                m_orbitals = H.shape[0]
+                H_k = [self._hbuilder.build(atoms, nl, moved=moved)]
 
         with self.timer.phase("regions"):
             regions = self._get_regions(atoms, nl_loc)
 
-        cached_windows = self._windows_k if kmode else self._window
-        if self.reuse and (cached_windows is None
+        if self.reuse and (self._windows is None
                            or self._vlist.last_update_rebuilt
                            or self._vlist_loc.last_update_rebuilt):
             # without reuse the two-pass solve computes its own bounds;
             # refreshing here too would double the Lanczos work
             with self.timer.phase("bounds"):
-                if kmode:
-                    self._refresh_windows_k(H_k)
-                else:
-                    self._refresh_window(H)
+                self._refresh_windows(H_k)
         elif self.reuse:
             # cached Lanczos window carried over: no re-Lanczos this step
             self._counters["window_reuses"] += 1
             obs.counter_inc("window.reuse")
 
         with self.timer.phase("foe"):
-            if kmode:
-                foe = self._solve_k(H_k, regions, atoms, with_rho=forces)
-            else:
-                foe = self._solve(H, regions, atoms, with_rho=forces)
+            foe = self._solve(H_k, regions, atoms, with_rho=forces)
         self._mu_hist = (self._mu_hist + [foe.mu])[-2:]
 
         with self.timer.phase("repulsive"):
@@ -581,7 +567,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
             "r_loc": self.r_loc,
             "spectral_bounds": foe.windows if kmode
                                else foe.spectral_bounds,
-            "n_orbitals": m_orbitals,
+            "n_orbitals": H_k[0].shape[0],
             "n_pairs": nl.n_pairs,
             "fastpath": {"mode": self._last_solve_mode,
                          "mu_shift": foe.mu_shift,
@@ -607,75 +593,50 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
                 self._attach_forces(res, atoms, fband, frep, vband, vrep)
         return self._store(res)
 
-    def _solve(self, H, regions, atoms, with_rho: bool):
-        """Dispatch cold / warm / fused FOE, with stale-window recovery."""
-        nelec = self.model.total_electrons(atoms.symbols)
-        executor = self._region_executor()
-
-        def fused(mu_guess):
-            return solve_density_regions_fused(
-                H, regions, nelec, self.kT, order=self.order,
-                window=self._window, mu_guess=mu_guess,
-                nworkers=self.nworkers, executor=executor,
-                rho_tol=self.rho_tol, backend=self.backend,
-                gather_maps=self._gather_maps(H, regions))
-
-        def two_pass(window, bracket):
-            return solve_density_regions(
-                H, regions, nelec, self.kT, order=self.order,
-                nworkers=self.nworkers, executor=executor,
-                with_rho=with_rho, window=window, mu_bracket=bracket,
-                backend=self.backend,
-                gather_maps=self._gather_maps(H, regions))
-
-        return self._dispatch_solve(with_rho, fused, two_pass,
-                                    lambda: self._window,
-                                    lambda: self._refresh_window(H))
-
-    def _solve_k(self, H_k, regions, atoms, with_rho: bool):
-        """k-sampled twin of :meth:`_solve`: same dispatch policy, with
-        per-k windows and the common-μ k solvers."""
-        nelec = self.model.total_electrons(atoms.symbols)
-        executor = self._region_executor()
-
-        def fused(mu_guess):
-            return solve_density_regions_k_fused(
-                H_k, self.kweights, regions, nelec, self.kT,
-                order=self.order, windows=self._windows_k,
-                mu_guess=mu_guess, nworkers=self.nworkers,
-                executor=executor, rho_tol=self.rho_tol,
-                backend=self.backend,
-                # every H(k) shares the builder's CSR structure, so one
-                # cached map set serves all k points
-                gather_maps=self._gather_maps(H_k[0], regions))
-
-        def two_pass(windows, bracket):
-            return solve_density_regions_k(
-                H_k, self.kweights, regions, nelec, self.kT,
-                order=self.order, nworkers=self.nworkers, executor=executor,
-                with_rho=with_rho, windows=windows, mu_bracket=bracket,
-                backend=self.backend,
-                gather_maps=self._gather_maps(H_k[0], regions))
-
-        return self._dispatch_solve(with_rho, fused, two_pass,
-                                    lambda: self._windows_k,
-                                    lambda: self._refresh_windows_k(H_k))
-
-    def _dispatch_solve(self, with_rho: bool, fused, two_pass,
-                        cached_windows, refresh):
-        """The one cold / warm / fused dispatch policy (Γ and k modes).
+    def _solve(self, H_k, regions, atoms, with_rho: bool):
+        """Cold / warm / fused FOE dispatch, with stale-window recovery.
 
         Fused when warm (cached windows + warm μ guess, with_rho); on a
         stale-window error, refresh and fall back to the verified
-        two-pass solve, which itself retries once after a refresh.
-        *fused(mu_guess)* / *two_pass(windows, bracket)* close over the
-        mode-specific solver arguments; *cached_windows()* / *refresh()*
-        read and rebuild the mode's window cache.
+        two-pass solve, which itself retries once after a refresh.  Γ
+        solves go through the Γ entry points and k-sampled ones through
+        the k entry points — the same engine either way.
         """
+        kmode = self._kgrid_size is not None
+        nelec = self.model.total_electrons(atoms.symbols)
+        common = dict(order=self.order, nworkers=self.nworkers,
+                      executor=self._region_executor(),
+                      backend=self.backend,
+                      # every H(k) shares the builder's CSR structure, so
+                      # one cached map set serves all k points
+                      gather_maps=self._gather_maps(H_k[0], regions))
+
+        def fused(mu_guess):
+            if kmode:
+                return solve_density_regions_k_fused(
+                    H_k, self.kweights, regions, nelec, self.kT,
+                    windows=self._windows, mu_guess=mu_guess,
+                    rho_tol=self.rho_tol, **common)
+            return solve_density_regions_fused(
+                H_k[0], regions, nelec, self.kT, window=self._windows[0],
+                mu_guess=mu_guess, rho_tol=self.rho_tol, **common)
+
+        def two_pass(bracket):
+            windows = self._windows if self.reuse else None
+            if kmode:
+                return solve_density_regions_k(
+                    H_k, self.kweights, regions, nelec, self.kT,
+                    with_rho=with_rho, windows=windows, mu_bracket=bracket,
+                    **common)
+            return solve_density_regions(
+                H_k[0], regions, nelec, self.kT, with_rho=with_rho,
+                window=None if windows is None else windows[0],
+                mu_bracket=bracket, **common)
+
         mu_guess = self._mu_guess() if self.reuse else None
 
         if self.reuse and with_rho and mu_guess is not None and \
-                cached_windows() is not None:
+                self._windows is not None:
             try:
                 foe = fused(mu_guess)
                 if foe.used_fallback:
@@ -693,19 +654,19 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
             except SpectralWindowError:
                 self._counters["window_invalidations"] += 1
                 obs.counter_inc("window.invalidated")
-                refresh()
+                self._refresh_windows(H_k)
                 # fall through to the verified two-pass solve
 
         bracket = None
         if self.reuse and mu_guess is not None:
             bracket = (mu_guess - 10.0 * self.kT, mu_guess + 10.0 * self.kT)
         try:
-            foe = two_pass(cached_windows() if self.reuse else None, bracket)
+            foe = two_pass(bracket)
         except SpectralWindowError:
             self._counters["window_invalidations"] += 1
             obs.counter_inc("window.invalidated")
-            refresh()
-            foe = two_pass(cached_windows(), bracket)
+            self._refresh_windows(H_k)
+            foe = two_pass(bracket)
         self._counters["foe_cold"] += 1
         self._last_solve_mode = "two-pass"
         obs.counter_inc("foe.cold")

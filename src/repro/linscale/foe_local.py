@@ -15,21 +15,31 @@ Hamiltonian, ``ρ = f((H − μ)/kT)`` (Eq. 1), its Chebyshev expansion
 ``ρ ≈ Σ_k c_k T_k(H̃)`` (Eq. 3), and the truncation of each column of ρ
 to a localization region, which is what turns the expansion O(N).
 
+This module holds the **one** region engine.  It runs on a list of
+Hamiltonians with sampling weights, ``(H_list, weights)``: one sparse
+``H(k)`` per k point, each expanded on its own spectral window, all
+sharing one chemical potential: :func:`solve_density_regions_k` and
+:func:`solve_density_regions_k_fused`, published by
+:mod:`repro.linscale.kfoe`.  Γ is the one-k-point, weight-1 case —
+:func:`solve_density_regions` and :func:`solve_density_regions_fused`
+are thin calls into the engine and return the same result type.
+
 Two evaluation strategies are provided:
 
 **Reference two-pass** (:func:`solve_density_regions`):
 
-1. **Moments** — per region, the scalar Chebyshev moments
+1. **Moments** — per (k, region), the scalar Chebyshev moments
    ``m_k = Σ_{μ∈core} [T_k(H̃)]_{μμ}`` and energy moments
-   ``e_k = Σ_{μ∈core} [T_k(H̃) H]_{μμ}``.  Summed over regions these give
-   the electron count ``N(μ) = Σ_k c_k(μ) M_k`` (μ found by bisection at
-   scalar cost — no matrix work per trial), the band energy, the
-   electronic entropy, and per-atom Mulliken populations.
+   ``e_k = Σ_{μ∈core} [T_k(H̃) H]_{μμ}``.  Weight-summed over k and
+   regions these give the electron count ``N(μ) = Σ_k c_k(μ) M_k`` (μ
+   found by bisection at scalar cost — no matrix work per trial), the
+   band energy, the electronic entropy, and per-atom Mulliken
+   populations.
 2. **Density rows** — with μ fixed, re-run the recursion accumulating
    ``ρ_rows = Σ_k c_k v_k`` for the core orbitals.  Stacked over regions
-   these rows form a sparse approximation ρ̂ of the global density matrix
-   (every orbital is the core of exactly one region); the symmetrised
-   ``(ρ̂ + ρ̂ᵀ)/2`` feeds the Hellmann–Feynman force contraction.
+   these rows form a sparse approximation ρ̂ of each k's density matrix
+   (every orbital is the core of exactly one region); the Hermitised
+   ``(ρ̂ + ρ̂ᴴ)/2`` feeds the Hellmann–Feynman force contraction.
 
 **Fused single-pass** (:func:`solve_density_regions_fused`) — the MD fast
 path.  The matvec chain is the same for both passes, so with a good μ
@@ -44,22 +54,24 @@ moments, so only ρ (hence forces) carries the — bounded — Taylor error.
 This halves the dominant cost of an MD step.
 
 All scalar functions are expanded with the shared helpers in
-:mod:`repro.tb.chebyshev`, on one global ``(center, span)`` scaling from
-tight Lanczos bounds of the sparse H (submatrix spectra interlace, so
-every region is covered).  Callers may pass a *cached* window; validity
+:mod:`repro.tb.chebyshev`, on one ``(center, span)`` scaling per k from
+tight Lanczos bounds of the sparse H(k) (submatrix spectra interlace, so
+every region is covered).  Callers may pass *cached* windows; validity
 is then checked a posteriori from the moments (``|m_k| ≤ n_core`` on a
 valid window) and a stale window raises
 :class:`~repro.errors.SpectralWindowError`.  Orthogonal models only,
 like purification.
 
 The region recursions themselves are evaluated through a pluggable
-array backend (:mod:`repro.linscale.backends`): the solvers hand each
+array backend (:mod:`repro.linscale.backends`): the engine hands each
 batch of regions to the selected :class:`~repro.linscale.backends.base.
 Backend` as a :class:`~repro.linscale.backends.base.RegionBlockSource`
-— ``numpy_loop`` reproduces the historical per-region loop exactly,
-``numpy_batched`` runs shape-bucketed stacked-GEMM recursions (the MD
-fast path's production backend).  Pass ``backend=`` by name or
-instance, or set the ``REPRO_BACKEND`` environment variable.
+— ``numpy_loop`` (the default) runs one region at a time,
+``numpy_batched`` runs shape-bucketed stacked-GEMM recursions, which
+only wins for small regions (measured on 512-atom Si at order 150: 2×
+faster than the loop at r_loc 4.2 Å, 2.8× slower at the default
+6.24 Å).  Pass ``backend=`` by name or instance, or set the
+``REPRO_BACKEND`` environment variable.
 """
 
 from __future__ import annotations
@@ -71,61 +83,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ElectronicError, SpectralWindowError
-from repro.neighbors.base import NeighborList
 from repro.parallel.decomposition import block_partition
 from repro.parallel.pool import map_tasks
 from repro.tb.chebyshev import (
     entropy_coefficients,
     fermi_coefficients,
     fermi_mu_derivative_coefficients,
-    solve_mu_from_moments,
+    solve_mu_from_moments_multi,
 )
-from repro.tb.hamiltonian import orbital_offsets, pair_species_groups
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.tb.slater_koster import sk_block_gradients
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockSource
-from repro.linscale.backends.kernels import (
-    hermitian_inner,
-    region_density_rows,
-    region_fused,
-    region_moments,
-)
 from repro.linscale.regions import LocalizationRegion
-from repro.linscale.sparse_hamiltonian import block_index_grids
-
-
-# ---------------------------------------------------------------------------
-# Per-region kernels — owned by the backend layer now
-# (:mod:`repro.linscale.backends.kernels`); the historical private names
-# stay importable from here.
-# ---------------------------------------------------------------------------
-
-_hermitian_inner = hermitian_inner
-_region_moments = region_moments
-_region_density_rows = region_density_rows
-_region_fused = region_fused
-
-
-def _moments_worker(args):
-    """One chunk: build a block source over the (shared) sparse H and run
-    the named backend's moment batch — densifying inside the worker keeps
-    the parent from shipping dense blocks through the pipe."""
-    H, specs, center, span, order, backend = args
-    blocks = RegionBlockSource(H, specs)
-    return resolve_backend(backend).moments(blocks, center, span, order)
-
-
-def _density_worker(args):
-    H, specs, center, span, coeffs, backend = args
-    blocks = RegionBlockSource(H, specs)
-    return resolve_backend(backend).density_rows(blocks, center, span, coeffs)
-
-
-def _fused_worker(args):
-    H, specs, center, span, deriv_coeffs, backend = args
-    blocks = RegionBlockSource(H, specs)
-    return resolve_backend(backend).fused(blocks, center, span, deriv_coeffs)
 
 
 def build_region_gather_maps(H: sp.csr_matrix,
@@ -173,69 +142,60 @@ def build_region_gather_maps(H: sp.csr_matrix,
 
 
 # ---------------------------------------------------------------------------
-# Chemical potential from aggregated moments
-# ---------------------------------------------------------------------------
-
-def chemical_potential_from_moments(moments: np.ndarray, center: float,
-                                    span: float, kT: float,
-                                    n_electrons: float,
-                                    bracket: tuple[float, float],
-                                    tol: float = 1e-10,
-                                    max_iter: int = 100) -> float:
-    """Solve ``Σ_k c_k(μ) M_k = n_electrons`` for μ (bisection + Newton).
-
-    Thin wrapper over the shared
-    :func:`repro.tb.chebyshev.solve_mu_from_moments` — the dense FOE and
-    the region engine use the *same* μ search, with the same bracket-
-    independent Newton polish, so warm-started and cold searches return
-    identical chemical potentials.
-    """
-    return solve_mu_from_moments(moments, center, span, kT, n_electrons,
-                                 bracket=bracket, tol=tol,
-                                 max_iter=max_iter)
-
-
-def _find_mu(moments: np.ndarray, center: float, span: float, kT: float,
-             n_electrons: float, full_bracket: tuple[float, float],
-             warm_bracket: tuple[float, float] | None = None) -> float:
-    """μ search with an optional warm bracket (previous step's μ ± pad).
-
-    The warm bracket is verified (and silently widened to the full
-    spectral bracket when stale) inside the shared solver.
-    """
-    return solve_mu_from_moments(moments, center, span, kT, n_electrons,
-                                 bracket=full_bracket,
-                                 warm_bracket=warm_bracket)
-
-
-# ---------------------------------------------------------------------------
-# The region solve
+# The region engine over (H_list, weights)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RegionFOEResult:
-    """Everything the O(N) electronic step produces.
+    """Everything one O(N) electronic step produces, at Γ or k-sampled.
 
-    ``rho`` is the symmetrised spin-summed sparse density matrix built
-    from core rows (``None`` when the solve was run energy-only);
-    ``populations`` are per-atom Mulliken electron populations
-    (Σ = ``n_electrons``); ``entropy`` is in eV/K.  ``mu_shift`` is the
-    distance from the warm-start guess to the converged μ (0.0 for cold
-    solves) and ``used_fallback`` records that a fused solve had to run
-    the second density pass after all.
+    ``rho_k`` holds one Hermitised spin-summed sparse density matrix per
+    k point, built from core rows (``None`` when the solve was run
+    energy-only); ``windows`` are the per-k spectral bounds the
+    expansion ran on.  The scalars are weight-summed over k: ``mu`` is
+    the one common chemical potential, ``populations`` the per-atom
+    Mulliken electron populations (Σ = ``n_electrons``), ``entropy`` in
+    eV/K.  ``mu_shift`` is the distance from the warm-start guess to the
+    converged μ (0.0 for two-pass solves) and ``used_fallback`` records
+    that a fused solve had to run the second density pass after all.
+
+    A Γ solve is the one-k-point case; read its density matrix and
+    window as :attr:`rho` and :attr:`spectral_bounds`.
     """
 
-    rho: sp.csr_matrix | None
+    rho_k: list[sp.csr_matrix] | None
     band_energy: float
     mu: float
     entropy: float
     populations: np.ndarray
     n_electrons: float
     order: int
-    spectral_bounds: tuple[float, float]
+    windows: list[tuple[float, float]]
     n_regions: int
+    weights: np.ndarray
     mu_shift: float = 0.0
     used_fallback: bool = False
+
+    @property
+    def n_kpoints(self) -> int:
+        return len(self.windows)
+
+    def _gamma(self, values: list):
+        if len(values) != 1:
+            raise ElectronicError(
+                f"result has {len(values)} k points; read the per-k "
+                "rho_k / windows lists")
+        return values[0]
+
+    @property
+    def rho(self) -> sp.csr_matrix | None:
+        """The density matrix of a one-k-point (Γ) solve."""
+        return None if self.rho_k is None else self._gamma(self.rho_k)
+
+    @property
+    def spectral_bounds(self) -> tuple[float, float]:
+        """The spectral window of a one-k-point (Γ) solve."""
+        return self._gamma(self.windows)
 
 
 def _scaled_window(emin: float, emax: float) -> tuple[float, float]:
@@ -247,16 +207,43 @@ def _scaled_window(emin: float, emax: float) -> tuple[float, float]:
     return center, span
 
 
-def _validate_regions(H, regions: list[LocalizationRegion]) -> sp.csr_matrix:
-    H = sp.csr_matrix(H)
-    m_total = H.shape[0]
+def _validate_inputs(H_list, weights, regions: list[LocalizationRegion],
+                     kT: float, order: int
+                     ) -> tuple[list[sp.csr_matrix], np.ndarray]:
+    """CSR Hamiltonians and float weights, or a typed error.
+
+    The weights must be a probability distribution over the k points:
+    anything else silently rescales the electron count, and the μ search
+    then lands on a wrong but self-consistent answer.
+    """
+    if kT <= 0:
+        raise ElectronicError("FOE-in-regions needs kT > 0")
+    if order < 2:
+        raise ElectronicError("expansion order must be >= 2")
+    if len(H_list) == 0:
+        raise ElectronicError("need at least one k point")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(H_list),):
+        raise ElectronicError(
+            f"{len(H_list)} k points but {weights.size} weights")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0) or \
+            abs(weights.sum() - 1.0) > 1e-10:
+        raise ElectronicError(
+            f"k weights must be finite, non-negative and sum to 1; got "
+            f"{weights} (sum {weights.sum()})")
+    H_list = [sp.csr_matrix(H) for H in H_list]
+    shapes = {H.shape for H in H_list}
+    if len(shapes) != 1:
+        raise ElectronicError(f"inconsistent H(k) shapes {shapes}")
+    m_total = H_list[0].shape[0]
     n_core_total = sum(len(r.core_local) for r in regions)
     if n_core_total != m_total:
         raise ElectronicError(
             f"regions cover {n_core_total} core orbitals but H has "
             f"{m_total}; every orbital must be the core of exactly one region"
         )
-    return H
+    return H_list, weights
+
 
 def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
                  ) -> tuple[list, list]:
@@ -274,8 +261,72 @@ def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
     return specs, chunks
 
 
-def _check_window(m_per: np.ndarray, regions: list[LocalizationRegion],
-                  window: tuple[float, float]) -> None:
+def _region_worker(args):
+    """One pool chunk of one pass: build a block source over the (shared)
+    sparse H and run the named backend's *kind* pass on it — densifying
+    inside the worker keeps the parent from shipping dense blocks
+    through the pipe."""
+    kind, H, specs, center, span, arg, backend = args
+    blocks = RegionBlockSource(H, specs)
+    return getattr(resolve_backend(backend), kind)(blocks, center, span, arg)
+
+
+class _RegionPasses:
+    """Runs backend passes over every (k, region) of one solve.
+
+    Inline solves (``nworkers == 1``, no executor) keep one block source
+    per H(k); with ``cache=True`` both passes of a two-pass solve share
+    one densification per (k, region).  Pooled solves fan (k, chunk)
+    tasks out k-major through :func:`repro.parallel.pool.map_tasks`, on
+    the caller's executor or on one pool owned for the solve's duration
+    (a context manager: leaving it shuts that pool down).
+    """
+
+    def __init__(self, H_list, regions, nworkers, executor, backend,
+                 gather_maps, cache=False):
+        self._own_pool = None
+        if executor is None and nworkers > 1:
+            # one pool for all passes instead of a spawn per map_tasks call
+            executor = self._own_pool = ProcessPoolExecutor(
+                max_workers=nworkers)
+        self.H_list = H_list
+        self.nworkers, self.executor, self.backend = \
+            nworkers, executor, backend
+        self.specs, self.chunks = _chunk_specs(regions, nworkers)
+        self.sources = None
+        if executor is None:
+            # inline (nworkers == 1): every H(k) shares one CSR
+            # structure, so a single gather-map set serves all k points
+            self.sources = [RegionBlockSource(H, self.specs,
+                                              gather_maps=gather_maps,
+                                              cache=cache)
+                            for H in H_list]
+
+    def run(self, kind: str, per_k: list) -> list[list]:
+        """Per k, the backend's *kind* outputs in region order; *per_k*
+        holds each k's ``(center, span, order-or-coefficients)``."""
+        backend = self.backend
+        if self.sources is not None:
+            return [getattr(backend, kind)(src, *args)
+                    for src, args in zip(self.sources, per_k)]
+        tasks = [(kind, H, [self.specs[i] for i in c], *args, backend.name)
+                 for H, args in zip(self.H_list, per_k)
+                 for c in self.chunks]
+        flat = map_tasks(_region_worker, tasks, self.nworkers,
+                         self.executor)
+        n = len(self.chunks)
+        return [[out for chunk in flat[ki * n:(ki + 1) * n] for out in chunk]
+                for ki in range(len(self.H_list))]
+
+    def __enter__(self) -> _RegionPasses:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._own_pool is not None:
+            self._own_pool.shutdown()
+
+
+def _check_window(m_per: np.ndarray, window: tuple[float, float]) -> None:
     """A-posteriori window validity from the moments.
 
     On a valid window every region eigenvalue maps into [−1, 1], so
@@ -290,6 +341,39 @@ def _check_window(m_per: np.ndarray, regions: list[LocalizationRegion],
             "Hamiltonian spectrum (Chebyshev moments exceed the n_core "
             "bound); refresh the Lanczos bounds and re-solve"
         )
+
+
+def _moments_and_mu(per_k: list, windows, scaled, weights,
+                    n_electrons: float, kT: float, order: int,
+                    mu: float | None, warm_bracket, check: bool):
+    """Per-(k, region) moments → window guard, common μ, and the
+    weight-summed band energy, entropy, populations and per-k Fermi
+    coefficients at μ."""
+    m_per_k = [np.stack([out[0] for out in pk]) for pk in per_k]  # (R, K+1)
+    e_per_k = [np.stack([out[1] for out in pk]) for pk in per_k]
+    if check:
+        for m_per, window in zip(m_per_k, windows):
+            _check_window(m_per, window)
+    m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])          # (nk, K+1)
+    e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
+
+    if mu is None:
+        emin = min(w[0] for w in windows)
+        emax = max(w[1] for w in windows)
+        mu = solve_mu_from_moments_multi(
+            m_k, scaled, kT, n_electrons,
+            bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
+            weights=weights, warm_bracket=warm_bracket)
+
+    coeffs_k = [fermi_coefficients(c, s, mu, kT, order) for c, s in scaled]
+    band = float(sum(w * (ck @ ek)
+                     for w, ck, ek in zip(weights, coeffs_k, e_k)))
+    entropy = float(sum(
+        w * (entropy_coefficients(c, s, mu, kT, order) @ mk)
+        for w, (c, s), mk in zip(weights, scaled, m_k)))
+    populations = sum(w * (mp @ ck)
+                      for w, mp, ck in zip(weights, m_per_k, coeffs_k))
+    return float(mu), band, entropy, populations, coeffs_k
 
 
 def _assemble_rho(regions: list[LocalizationRegion], rows_per_region: list,
@@ -308,6 +392,150 @@ def _assemble_rho(regions: list[LocalizationRegion], rows_per_region: list,
     rho_t = rho_hat.getH() if np.iscomplexobj(rho_hat.data) else rho_hat.T
     return (0.5 * (rho_hat + rho_t)).tocsr()
 
+
+def solve_density_regions_k(H_list, weights,
+                            regions: list[LocalizationRegion],
+                            n_electrons: float, kT: float, order: int = 150,
+                            mu: float | None = None, nworkers: int = 1,
+                            executor=None, with_rho: bool = True,
+                            windows: list[tuple[float, float]] | None = None,
+                            mu_bracket: tuple[float, float] | None = None,
+                            backend=None,
+                            gather_maps: list[np.ndarray] | None = None
+                            ) -> RegionFOEResult:
+    """k-sampled FOE-in-regions (reference two-pass solve).
+
+    The one two-pass implementation; :func:`solve_density_regions` is
+    its one-k-point, weight-1 case.  Public home:
+    :mod:`repro.linscale.kfoe`.
+
+    Parameters
+    ----------
+    H_list :
+        One complex Hermitian (or real symmetric, at Γ) sparse
+        Hamiltonian per k point, all on the same orbital layout.
+    weights :
+        Sampling weights: finite, non-negative, summing to 1 (else
+        :class:`~repro.errors.ElectronicError`).  Pair with a
+        time-reversal-reduced grid from
+        :func:`repro.tb.kpoints.monkhorst_pack` to halve the k work
+        exactly.
+    regions :
+        k-independent localization regions of the folded neighbour
+        graph (:func:`repro.linscale.regions.extract_regions`).
+    windows :
+        Optional cached per-k spectral bounds; recomputed by per-k
+        Lanczos otherwise.  Stale windows raise
+        :class:`~repro.errors.SpectralWindowError` through the per-k
+        a-posteriori moment guard.
+    mu_bracket :
+        Optional warm bracket for the common μ (e.g. last step's μ ± a
+        few kT); verified and widened automatically.
+    gather_maps :
+        Every H(k) shares one CSR structure, so a single gather-map set
+        serves all k points on the inline path.
+
+    Other parameters as in :func:`solve_density_regions`.
+    """
+    H_list, weights = _validate_inputs(H_list, weights, regions, kT, order)
+    backend = resolve_backend(backend)
+    cached_window = windows is not None
+    if not cached_window:
+        windows = [lanczos_spectral_bounds(H) for H in H_list]
+    scaled = [_scaled_window(emin, emax) for emin, emax in windows]
+
+    with _RegionPasses(H_list, regions, nworkers, executor, backend,
+                       gather_maps, cache=with_rho) as passes:
+        # -- pass 1: moments → μ, band energy, entropy, populations --------
+        per_k = passes.run("moments", [(c, s, order) for c, s in scaled])
+        mu, band, entropy, populations, coeffs_k = _moments_and_mu(
+            per_k, windows, scaled, weights, n_electrons, kT, order, mu,
+            mu_bracket, check=cached_window)
+        # -- pass 2: core density rows → sparse ρ(k) -----------------------
+        rows_k = None
+        if with_rho:
+            rows_k = passes.run("density_rows",
+                                [(c, s, ck) for (c, s), ck
+                                 in zip(scaled, coeffs_k)])
+
+    m_total = H_list[0].shape[0]
+    rho_k = None if rows_k is None else \
+        [_assemble_rho(regions, rows, m_total) for rows in rows_k]
+    return RegionFOEResult(
+        rho_k=rho_k, band_energy=band, mu=mu, entropy=entropy,
+        populations=populations, n_electrons=float(populations.sum()),
+        order=order, windows=windows, n_regions=len(regions),
+        weights=weights)
+
+
+def solve_density_regions_k_fused(H_list, weights,
+                                  regions: list[LocalizationRegion],
+                                  n_electrons: float, kT: float,
+                                  order: int = 150, *,
+                                  windows: list[tuple[float, float]],
+                                  mu_guess: float,
+                                  nworkers: int = 1, executor=None,
+                                  rho_tol: float = 1e-10,
+                                  gather_maps: list[np.ndarray] | None = None,
+                                  backend=None
+                                  ) -> RegionFOEResult:
+    """Single-pass k-sampled FOE with per-k μ-Taylor correction.
+
+    The one fused implementation; :func:`solve_density_regions_fused`
+    is its one-k-point, weight-1 case (see there for the method and
+    *rho_tol*).  Public home: :mod:`repro.linscale.kfoe`.  Each k is
+    expanded on **its own** cached window, so the derivative coefficient
+    stacks differ per k while the Taylor weights (powers of the common
+    Δμ) are shared; the exact common μ comes from the weighted moments.
+    Other parameters as in :func:`solve_density_regions_k`.
+    """
+    H_list, weights = _validate_inputs(H_list, weights, regions, kT, order)
+    backend = resolve_backend(backend)
+    scaled = [_scaled_window(emin, emax) for emin, emax in windows]
+    deriv_k = [fermi_mu_derivative_coefficients(c, s, float(mu_guess), kT,
+                                                order, nderiv=3)
+               for c, s in scaled]
+
+    with _RegionPasses(H_list, regions, nworkers, executor, backend,
+                       gather_maps) as passes:
+        per_k = passes.run("fused", [(c, s, d) for (c, s), d
+                                     in zip(scaled, deriv_k)])
+        mu, band, entropy, populations, coeffs_k = _moments_and_mu(
+            per_k, windows, scaled, weights, n_electrons, kT, order, None,
+            (mu_guess - 10.0 * kT, mu_guess + 10.0 * kT), check=True)
+        dmu = mu - float(mu_guess)
+
+        mu_shift_tol = kT * (24.0 * rho_tol) ** 0.25
+        used_fallback = abs(dmu) > mu_shift_tol
+        if used_fallback:
+            # guess too far off: pay the explicit second pass (exact)
+            rows_k = passes.run("density_rows",
+                                [(c, s, ck) for (c, s), ck
+                                 in zip(scaled, coeffs_k)])
+        else:
+            w_taylor = np.array([1.0, dmu, 0.5 * dmu * dmu,
+                                 dmu * dmu * dmu / 6.0])
+            rows_k = [[_taylor_rows(w_taylor, outs) for _, _, outs in pk]
+                      for pk in per_k]
+
+    m_total = H_list[0].shape[0]
+    return RegionFOEResult(
+        rho_k=[_assemble_rho(regions, rows, m_total) for rows in rows_k],
+        band_energy=band, mu=mu, entropy=entropy, populations=populations,
+        n_electrons=float(populations.sum()), order=order, windows=windows,
+        n_regions=len(regions), weights=weights, mu_shift=float(dmu),
+        used_fallback=used_fallback)
+
+
+def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    """μ-corrected core density rows from one region's accumulant stack."""
+    cols = np.tensordot(w_taylor, outs, axes=([0], [0]))
+    return np.conj(cols.T) if np.iscomplexobj(cols) else cols.T
+
+
+# ---------------------------------------------------------------------------
+# Γ entry points: the one-k-point, weight-1 case
+# ---------------------------------------------------------------------------
 
 def solve_density_regions(H, regions: list[LocalizationRegion],
                           n_electrons: float, kT: float, order: int = 150,
@@ -361,84 +589,17 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         region with one fancy gather instead of CSR slicing.  Ignored on
         the pooled path, where shipping the maps would cost more than
         they save.
+
+    Returns
+    -------
+    :class:`RegionFOEResult` with one k point (read ``rho`` and
+    ``spectral_bounds``).
     """
-    if kT <= 0:
-        raise ElectronicError("FOE-in-regions needs kT > 0")
-    if order < 2:
-        raise ElectronicError("expansion order must be >= 2")
-    H = _validate_regions(H, regions)
-    m_total = H.shape[0]
-    backend = resolve_backend(backend)
-
-    cached_window = window is not None
-    emin, emax = window if cached_window else lanczos_spectral_bounds(H)
-    center, span = _scaled_window(emin, emax)
-
-    specs, chunks = _chunk_specs(regions, nworkers)
-    inline = executor is None and nworkers == 1
-    if inline:
-        # both passes share one densification per region (cache capped)
-        blocks = RegionBlockSource(H, specs, gather_maps=gather_maps,
-                                   cache=with_rho)
-
-    own_pool = None
-    if executor is None and nworkers > 1:
-        # one pool for both passes instead of a spawn per map_tasks call
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        # -- pass 1: moments → μ, band energy, entropy, populations --------
-        if inline:
-            per_region = backend.moments(blocks, center, span, order)
-        else:
-            tasks = [(H, [specs[i] for i in c], center, span, order,
-                      backend.name) for c in chunks]
-            per_region = [mo for chunk in
-                          map_tasks(_moments_worker, tasks, nworkers,
-                                    executor)
-                          for mo in chunk]
-        m_per = np.stack([m for m, _ in per_region])      # (R, K+1)
-        e_per = np.stack([e for _, e in per_region])
-        if cached_window:
-            _check_window(m_per, regions, (emin, emax))
-        m_sum = m_per.sum(axis=0)
-        e_sum = e_per.sum(axis=0)
-
-        if mu is None:
-            mu = _find_mu(m_sum, center, span, kT, n_electrons,
-                          full_bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
-                          warm_bracket=mu_bracket)
-
-        coeffs = fermi_coefficients(center, span, mu, kT, order)
-        band_energy = float(coeffs @ e_sum)
-        entropy = float(entropy_coefficients(center, span, mu, kT, order)
-                        @ m_sum)
-        populations = m_per @ coeffs
-
-        # -- pass 2: core density rows → sparse ρ --------------------------
-        rho = None
-        if with_rho:
-            if inline:
-                rows_per_region = backend.density_rows(blocks, center, span,
-                                                       coeffs)
-            else:
-                tasks = [(H, [specs[i] for i in c], center, span, coeffs,
-                          backend.name) for c in chunks]
-                rows_per_region = [rr for chunk in
-                                   map_tasks(_density_worker, tasks,
-                                             nworkers, executor)
-                                   for rr in chunk]
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    if with_rho:
-        rho = _assemble_rho(regions, rows_per_region, m_total)
-
-    return RegionFOEResult(
-        rho=rho, band_energy=band_energy, mu=float(mu), entropy=entropy,
-        populations=populations, n_electrons=float(populations.sum()),
-        order=order, spectral_bounds=(emin, emax), n_regions=len(regions))
+    return solve_density_regions_k(
+        [H], [1.0], regions, n_electrons, kT, order=order, mu=mu,
+        nworkers=nworkers, executor=executor, with_rho=with_rho,
+        windows=None if window is None else [window],
+        mu_bracket=mu_bracket, backend=backend, gather_maps=gather_maps)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
@@ -475,156 +636,33 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     rho_tol :
         Bound on the acceptable μ-Taylor remainder in ρ; sets the
         fallback threshold ``|Δμ| ≤ kT · (24·rho_tol)^{1/4}``.
-    gather_maps :
-        Optional cached :func:`build_region_gather_maps` output; the
-        inline (``nworkers == 1``, no executor) path then densifies each
-        region with one fancy gather instead of CSR slicing.  Ignored on
-        the pooled path, where shipping the maps would cost more than
-        they save.
-    backend :
-        Array backend evaluating the region batches — a name from
-        :func:`repro.linscale.backends.available_backends`, an instance,
-        or ``None`` for the ``REPRO_BACKEND``/default resolution.
+    gather_maps, backend :
+        As in :func:`solve_density_regions`.
 
     Returns
     -------
-    :class:`RegionFOEResult` with ``rho`` always present.
+    :class:`RegionFOEResult` with one k point and ``rho`` always present.
     """
-    if kT <= 0:
-        raise ElectronicError("FOE-in-regions needs kT > 0")
-    if order < 2:
-        raise ElectronicError("expansion order must be >= 2")
-    H = _validate_regions(H, regions)
-    m_total = H.shape[0]
-    backend = resolve_backend(backend)
-
-    emin, emax = window
-    center, span = _scaled_window(emin, emax)
-    deriv_coeffs = fermi_mu_derivative_coefficients(
-        center, span, float(mu_guess), kT, order, nderiv=3)
-
-    specs, chunks = _chunk_specs(regions, nworkers)
-    inline = executor is None and nworkers == 1
-    if inline:
-        blocks = RegionBlockSource(H, specs, gather_maps=gather_maps)
-
-    own_pool = None
-    if executor is None and nworkers > 1:
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        if inline:
-            per_region = backend.fused(blocks, center, span, deriv_coeffs)
-        else:
-            tasks = [(H, [specs[i] for i in c], center, span, deriv_coeffs,
-                      backend.name) for c in chunks]
-            per_region = [r for chunk in
-                          map_tasks(_fused_worker, tasks, nworkers, executor)
-                          for r in chunk]
-        m_per = np.stack([m for m, _, _ in per_region])
-        e_per = np.stack([e for _, e, _ in per_region])
-        _check_window(m_per, regions, (emin, emax))
-        m_sum = m_per.sum(axis=0)
-        e_sum = e_per.sum(axis=0)
-
-        mu = _find_mu(m_sum, center, span, kT, n_electrons,
-                      full_bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
-                      warm_bracket=(mu_guess - 10.0 * kT,
-                                    mu_guess + 10.0 * kT))
-        dmu = mu - float(mu_guess)
-
-        coeffs = fermi_coefficients(center, span, mu, kT, order)
-        band_energy = float(coeffs @ e_sum)
-        entropy = float(entropy_coefficients(center, span, mu, kT, order)
-                        @ m_sum)
-        populations = m_per @ coeffs
-
-        mu_shift_tol = kT * (24.0 * rho_tol) ** 0.25
-        used_fallback = abs(dmu) > mu_shift_tol
-        if used_fallback:
-            # guess too far off: pay the explicit second pass (exact)
-            if inline:
-                rows_per_region = backend.density_rows(blocks, center, span,
-                                                       coeffs)
-            else:
-                tasks = [(H, [specs[i] for i in c], center, span, coeffs,
-                          backend.name) for c in chunks]
-                rows_per_region = [rr for chunk in
-                                   map_tasks(_density_worker, tasks,
-                                             nworkers, executor)
-                                   for rr in chunk]
-        else:
-            w = np.array([1.0, dmu, 0.5 * dmu * dmu,
-                          dmu * dmu * dmu / 6.0])
-            rows_per_region = [
-                np.tensordot(w, outs, axes=([0], [0])).T
-                for _, _, outs in per_region
-            ]
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    rho = _assemble_rho(regions, rows_per_region, m_total)
-    return RegionFOEResult(
-        rho=rho, band_energy=band_energy, mu=float(mu), entropy=entropy,
-        populations=populations, n_electrons=float(populations.sum()),
-        order=order, spectral_bounds=(emin, emax), n_regions=len(regions),
-        mu_shift=float(dmu), used_fallback=used_fallback)
+    return solve_density_regions_k_fused(
+        [H], [1.0], regions, n_electrons, kT, order=order, windows=[window],
+        mu_guess=mu_guess, nworkers=nworkers, executor=executor,
+        rho_tol=rho_tol, gather_maps=gather_maps, backend=backend)
 
 
-# ---------------------------------------------------------------------------
-# Hellmann–Feynman forces from the sparse density matrix
-# ---------------------------------------------------------------------------
-
-def _gather_blocks(rho: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
-                   ) -> np.ndarray:
-    """Dense (P, ni, nj) ρ blocks gathered from a sparse matrix."""
-    flat = np.asarray(rho[rows.ravel(), cols.ravel()]).ravel()
-    return flat.reshape(rows.shape)
-
-
-def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
+def sparse_band_forces(atoms, model, nl, rho: sp.csr_matrix
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Band forces (N, 3) and virial (3, 3) from a *sparse* symmetric ρ.
 
-    The sparse twin of :func:`repro.tb.forces.band_forces` (orthogonal
-    models only): identical contraction ``g = 2 Σ ρ_ab ∂B_ab`` per
-    half-list bond — the Hellmann–Feynman force ``F_i = −Tr(ρ ∂H/∂R_i)``
-    of the paper, evaluated bond-by-bond — with ρ blocks gathered from
-    CSR instead of fancy dense indexing.  Every needed block lies inside
-    ρ's sparsity pattern because r_loc ≥ the model cutoff.
+    The Γ case — one k point at the origin, weight 1 — of
+    :func:`repro.linscale.kfoe.sparse_band_forces_k`, which contracts a
+    real ρ in real arithmetic: ``g = 2 Σ ρ_ab ∂B_ab`` per half-list
+    bond, the Hellmann–Feynman force ``F_i = −Tr(ρ ∂H/∂R_i)`` of the
+    paper evaluated bond-by-bond.  Orthogonal models only.
 
     Units: forces in eV/Å, virial in eV.
     """
-    if not model.orthogonal:
-        raise ElectronicError(
-            "sparse band forces support orthogonal models only"
-        )
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    if nl.n_pairs == 0:
-        return forces, virial
+    # kfoe builds on this module, so the k routine is imported late
+    from repro.linscale.kfoe import sparse_band_forces_k
 
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-
-        V, dV = model.hopping(sa, sb, r)
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]
-
-        rows, cols = block_index_grids(oi, oj, ni, nj)
-        rho_blk = _gather_blocks(rho, rows, cols)
-        g = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
-
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g, vec)
-
-    return forces, virial
+    return sparse_band_forces_k(atoms, model, nl, [rho], [1.0],
+                                np.zeros((1, 3)))

@@ -5,8 +5,8 @@ the same contract against the ``numpy_loop`` reference oracle: region
 order preserved, real symmetric *and* complex Hermitian blocks, moments
 within 1e-12 and end-to-end forces within 1e-10, through both the
 two-pass and the fused solve.  The suite is parametrized over
-``available_backends()``, so a newly registered backend (numba, a GPU
-port, ...) is picked up with zero test changes.
+``available_backends()``, so a backend added to the registry is picked
+up with zero test changes.
 
 The hypothesis section drills the batched backend's one real risk —
 shape bucketing and padding: buckets must partition the region list
@@ -28,12 +28,10 @@ from repro.errors import ReproError
 from repro.linscale import LinearScalingCalculator
 from repro.linscale.backends import (
     DEFAULT_BACKEND,
-    Backend,
     RegionBlockSource,
     available_backends,
     get_backend,
     plan_buckets,
-    register_backend,
     resolve_backend,
 )
 from repro.linscale.backends.numpy_loop import NumpyLoopBackend
@@ -394,24 +392,6 @@ def test_resolve_backend_precedence(monkeypatch):
     # an instance passes straight through
     inst = NumpyLoopBackend()
     assert resolve_backend(inst) is inst
-
-
-def test_register_backend_rejects_duplicates():
-    class Fake(NumpyLoopBackend):
-        name = "fake_for_test"
-
-    register_backend("fake_for_test", Fake)
-    try:
-        with pytest.raises(ReproError, match="fake_for_test"):
-            register_backend("fake_for_test", Fake)
-        register_backend("fake_for_test", Fake, replace=True)
-        assert isinstance(get_backend("fake_for_test"), Fake)
-        assert isinstance(get_backend("fake_for_test"), Backend)
-    finally:
-        from repro.linscale import backends as reg_mod
-
-        reg_mod._FACTORIES.pop("fake_for_test", None)
-        reg_mod._INSTANCES.pop("fake_for_test", None)
 
 
 def test_make_calculator_threads_backend(monkeypatch):

@@ -26,8 +26,12 @@ from repro.linscale import (
     build_sparse_hamiltonian_k,
     extract_regions,
     solve_density_regions,
+    solve_density_regions_fused,
     solve_density_regions_k,
+    solve_density_regions_k_fused,
+    sparse_band_forces,
     sparse_band_forces_k,
+    spectral_windows_k,
     SparseHamiltonianBuilder,
 )
 
@@ -109,23 +113,48 @@ def test_multi_window_mu_validation():
 
 
 # ------------------------------------------------------------------ solves
-def test_k_solve_at_gamma_matches_gamma_engine(si8_rattled, gsp):
-    """The k engine fed only Γ (weight 1) must reproduce the Γ engine —
-    same moments, same μ, same ρ, same everything."""
+@pytest.mark.parametrize("nworkers", [1, 2])
+@pytest.mark.parametrize("mode", ["two-pass", "fused-taylor",
+                                  "fused-fallback"])
+def test_k_solve_at_gamma_matches_gamma_engine(si8_rattled, gsp, mode,
+                                               nworkers):
+    """The k engine fed only Γ (weight 1) must reproduce the Γ engine
+    bit for bit — same μ, energies, populations and ρ — on the two-pass
+    solve and on both branches of the fused solve (μ guess inside the
+    Taylor radius, and far enough off to force the fallback pass), inline
+    and pooled."""
     from repro.linscale.sparse_hamiltonian import build_sparse_hamiltonian
 
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     nl_loc = neighbor_list(si8_rattled, 6.0)
     H, _ = build_sparse_hamiltonian(si8_rattled, gsp, nl)
     regions = extract_regions(si8_rattled, gsp, 6.0, nl=nl_loc)
-    ref = solve_density_regions(H, regions, 32.0, kT=0.2, order=80)
-    res = solve_density_regions_k([H], [1.0], regions, 32.0, kT=0.2,
-                                  order=80)
-    assert res.mu == pytest.approx(ref.mu, abs=1e-12)
-    assert res.band_energy == pytest.approx(ref.band_energy, abs=1e-10)
-    assert res.entropy == pytest.approx(ref.entropy, abs=1e-12)
-    np.testing.assert_allclose(res.populations, ref.populations, atol=1e-10)
-    assert np.abs((res.rho_k[0] - ref.rho).toarray()).max() < 1e-10
+    kw = dict(kT=0.2, order=80, nworkers=nworkers)
+    ref = solve_density_regions(H, regions, 32.0, **kw)
+    if mode == "two-pass":
+        res = solve_density_regions_k([H], [1.0], regions, 32.0, **kw)
+    else:
+        dmu = 1e-4 if mode == "fused-taylor" else 0.02
+        guess, window = ref.mu + dmu, ref.spectral_bounds
+        ref = solve_density_regions_fused(
+            H, regions, 32.0, window=window, mu_guess=guess, **kw)
+        res = solve_density_regions_k_fused(
+            [H], [1.0], regions, 32.0, windows=[window], mu_guess=guess,
+            **kw)
+        assert res.used_fallback == ref.used_fallback == \
+            (mode == "fused-fallback")
+        assert res.mu_shift == ref.mu_shift
+    assert res.mu == ref.mu
+    assert res.band_energy == ref.band_energy
+    assert res.entropy == ref.entropy
+    assert np.array_equal(res.populations, ref.populations)
+    assert abs(res.rho_k[0] - ref.rho).max() == 0.0
+
+    fg, vg = sparse_band_forces(si8_rattled, gsp, nl, ref.rho)
+    fk, vk = sparse_band_forces_k(si8_rattled, gsp, nl, [ref.rho], [1.0],
+                                  np.zeros((1, 3)))
+    assert np.abs(fk - fg).max() < 1e-12
+    assert np.abs(vk - vg).max() < 1e-12
 
 
 def test_k_solve_time_reversal_fold_exact(si_metal8, gsp):
@@ -261,6 +290,18 @@ def test_kfoe_validation_errors(si8_rattled, gsp):
         solve_density_regions_k([H], [0.5, 0.5], regions, 32.0, kT=0.2)
     with pytest.raises(ElectronicError):
         solve_density_regions_k([H], [1.0], regions, 32.0, kT=-0.1)
+    # weights must be a probability distribution over the k points: any
+    # other sum rescales the electron count the μ search sees, and a NaN
+    # poisons every energy
+    for bad in ([2.0], [np.nan], [np.inf], [1.0 + 1e-9]):
+        with pytest.raises(ElectronicError, match="weights"):
+            solve_density_regions_k([H], bad, regions, 32.0, kT=0.2)
+    with pytest.raises(ElectronicError, match="weights"):
+        solve_density_regions_k([H, H], [1.5, -0.5], regions, 32.0, kT=0.2)
+    window = spectral_windows_k([H])
+    with pytest.raises(ElectronicError, match="weights"):
+        solve_density_regions_k_fused([H], [2.0], regions, 32.0, kT=0.2,
+                                      windows=window, mu_guess=0.6)
 
 
 # ------------------------------------------------------------------ plumbing
