@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from repro import obs
 from repro.bench import print_table, silicon_supercell
 from repro.linscale import LinearScalingCalculator
 from repro.md import MDDriver, VelocityVerlet, maxwell_boltzmann_velocities
@@ -112,91 +111,6 @@ def test_a8_md_fastpath_speedup(benchmark, quick):
     def one_step(calc=fast, atoms=at_fast):
         atoms.positions += state["rng"].normal(0.0, 0.003,
                                                atoms.positions.shape)
-        calc.compute(atoms, forces=True)
-
-    benchmark.pedantic(one_step, rounds=2, iterations=1)
-
-
-#: Localization radius for the backend benchmark — the paper's first+
-#: second-neighbour-shell regions (17 atoms, 68 orbitals in Si), where
-#: the per-region GEMMs are small enough that interpreter dispatch is a
-#: real cost and shape bucketing pays.  At the repo's conservative
-#: default (6.24 Å, 47-atom regions) the per-region loop already keeps
-#: each block L2-resident and saturates the skinny GEMM, so there is
-#: nothing left for batching to win on a single core.
-BACKEND_R_LOC = 4.2
-
-
-def test_a8_backend_batched_speedup(benchmark, quick):
-    """Stacked-GEMM region backend vs the per-region loop, same fast path.
-
-    Both calculators run the identical warm fused MD step (state reuse
-    on); only the array backend differs.  Interleaved stepping and
-    best-of-N timing for the same container-throttling robustness as the
-    reuse benchmark above.  The speedup lands in the metrics snapshot as
-    the ``foe.backend_speedup`` gauge so the CI bench-smoke job can gate
-    it (``tools/check_metrics.py --min-backend-speedup``).
-    """
-    multiplier = 2 if quick else MULTIPLIER     # 64 vs 512 atoms
-    order = 120 if quick else ORDER
-    measure_steps = 2 if quick else MEASURE_STEPS
-    at_bat = silicon_supercell(multiplier, rattle_amp=0.03, seed=17)
-    maxwell_boltzmann_velocities(at_bat, TEMPERATURE, seed=11)
-    at_loop = copy.deepcopy(at_bat)
-    natoms = len(at_bat)
-    assert quick or natoms >= 500
-
-    batched = LinearScalingCalculator(GSPSilicon(), kT=KT, order=order,
-                                      r_loc=BACKEND_R_LOC, reuse=True,
-                                      backend="numpy_batched")
-    loop = LinearScalingCalculator(GSPSilicon(), kT=KT, order=order,
-                                   r_loc=BACKEND_R_LOC, reuse=True,
-                                   backend="numpy_loop")
-
-    md_bat = MDDriver(at_bat, batched, VelocityVerlet(dt=1.0))
-    md_loop = MDDriver(at_loop, loop, VelocityVerlet(dt=1.0))
-    md_bat.run(WARMUP_STEPS)
-    md_loop.run(WARMUP_STEPS)
-    t_bat, t_loop = [], []
-    for _ in range(measure_steps):
-        t0 = time.perf_counter()
-        md_bat.run(1)
-        t_bat.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        md_loop.run(1)
-        t_loop.append(time.perf_counter() - t0)
-    speedup = float(min(t_loop) / min(t_bat))
-    obs.gauge_set("foe.backend_speedup", speedup)
-
-    # backend parity at the batched trajectory's final configuration —
-    # the batched path must be an optimization, not an approximation knob
-    f_bat = batched.compute(at_bat, forces=True)["forces"]
-    f_loop = loop.compute(copy.deepcopy(at_bat), forces=True)["forces"]
-    fmax_diff = float(np.abs(f_bat - f_loop).max())
-
-    rows = [
-        ["numpy_batched", np.mean(t_bat), min(t_bat)],
-        ["numpy_loop", np.mean(t_loop), min(t_loop)],
-    ]
-    print_table(
-        f"A8: seconds per warm MD step by backend, {natoms}-atom Si "
-        f"(kT={KT}, K={order})",
-        ["backend", "mean s/step", "best s/step"], rows, float_fmt="{:.3f}")
-    print(f"speedup (loop/batched): {speedup:.2f}x")
-    print(f"max |F_batched - F_loop|: {fmax_diff:.3e} eV/Å")
-
-    assert fmax_diff < 1e-8, f"backend force discrepancy {fmax_diff:.2e}"
-    if not quick:
-        # whole-step ratio: the solve itself runs 1.5-4x faster batched
-        # (fused/moments at these shapes) but the step also carries the
-        # backend-independent H update + force assembly; 1.38x measured
-        # quiet on a single-core container, floored with headroom
-        assert speedup >= 1.2, f"batched backend only {speedup:.2f}x faster"
-
-    step_rng = np.random.default_rng(5)
-
-    def one_step(calc=batched, atoms=at_bat, rng=step_rng):
-        atoms.positions += rng.normal(0.0, 0.003, atoms.positions.shape)
         calc.compute(atoms, forces=True)
 
     benchmark.pedantic(one_step, rounds=2, iterations=1)

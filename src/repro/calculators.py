@@ -130,8 +130,8 @@ class CalculatorSpec:
 
     Construction validates *types* and *cross-field constraints* —
     model/solver names, the kgrid applying to ``diag``/``linscale``
-    only, the backend applying to ``linscale`` only — so an invalid
-    spec can never be carried around and fail later at build time.
+    only — so an invalid spec can never be carried around and fail later
+    at build time.
 
     ``kgrid`` accepts every historical form (``"4x4x4"``, an int, a
     3-sequence) and is normalised to a tuple; ``kgrid_reduce`` is
@@ -149,7 +149,6 @@ class CalculatorSpec:
     skin: float = 0.5
     kgrid: tuple[int, int, int] | None = None
     kgrid_reduce: str | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
@@ -169,18 +168,6 @@ class CalculatorSpec:
             raise ReproError(
                 f"unknown solver {self.solver!r}; choose from {SOLVERS}"
                 f"{suggest_key(self.solver, SOLVERS)}")
-        if self.backend is not None:
-            if self.solver != "linscale":
-                raise ReproError(
-                    "backend applies to the 'linscale' solver only (the "
-                    "other solvers have no region recursions to dispatch)")
-            from repro.linscale.backends import available_backends
-
-            if self.backend not in available_backends():
-                raise ReproError(
-                    f"unknown array backend {self.backend!r}; available: "
-                    f"{available_backends()}"
-                    f"{suggest_key(self.backend, available_backends())}")
         if self.kgrid_reduce is not None:
             if self.kgrid_reduce not in KGRID_REDUCE:
                 raise ReproError(
@@ -285,8 +272,6 @@ class CalculatorSpec:
             bits.append(f"reduce={self.kgrid_reduce or 'trs'}")
         if self.solver == "linscale" and self.r_loc is not None:
             bits.append(f"r_loc={self.r_loc:g}")
-        if self.backend:
-            bits.append(f"backend={self.backend}")
         return " ".join(bits)
 
 
@@ -300,10 +285,7 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
     Pack divisions — ``"n1xn2xn3"``, an int, or a 3-sequence; ``diag``
     and ``linscale`` only), ``kgrid_reduce`` (``"trs"`` default /
     ``"full"`` / ``"symmetry"`` — crystal-point-group irreducible
-    wedge), ``backend`` (array backend for the ``linscale`` region
-    recursions — one of
-    :func:`repro.linscale.backends.available_backends`; defaults to the
-    ``REPRO_BACKEND`` environment variable, then the package default).
+    wedge).
 
     *context* (e.g. ``"op 'load'"``) is threaded into every validation
     error raised while interpreting a dict spec.
@@ -347,4 +329,4 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
     return LinearScalingCalculator(
         model, kT=kT, order=spec.order, r_loc=spec.r_loc,
         nworkers=spec.nworkers, reuse=spec.reuse, skin=spec.skin,
-        kpts=spec.kgrid, kgrid_reduce=kgrid_reduce, backend=spec.backend)
+        kpts=spec.kgrid, kgrid_reduce=kgrid_reduce)

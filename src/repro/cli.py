@@ -100,8 +100,7 @@ def _calc_spec(args) -> dict:
     """
     spec = {"model": args.model, "kT": args.kt,
             "solver": getattr(args, "solver", "diag")}
-    for key in ("order", "r_loc", "nworkers", "kgrid", "kgrid_reduce",
-                "backend"):
+    for key in ("order", "r_loc", "nworkers", "kgrid", "kgrid_reduce"):
         value = getattr(args, key, None)
         if value is not None:
             spec[key] = value
@@ -487,10 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default), none (full), or the crystal "
                              "point-group irreducible wedge (symmetry) — "
                              "up to ~16x fewer k points on cubic cells")
-        sp.add_argument("--backend", default=None,
-                        help="array backend for the linscale region "
-                             "recursions (numpy_loop, numpy_batched, ...); "
-                             "default: $REPRO_BACKEND, then numpy_loop")
         sp.add_argument("--trace", metavar="PATH",
                         help="record a span trace of the run: *.jsonl for "
                              "tools/trace_report.py, *.json for the Chrome "
@@ -643,9 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["trs", "full", "symmetry"],
                     dest="kgrid_reduce",
                     help="k-grid folding mode (see the energy command)")
-    cl.add_argument("--backend", default=None,
-                    help="array backend for linscale region recursions "
-                         "(see the energy command)")
     ce = ca.add_parser("eval", help="energy/forces of a loaded structure")
     ce.add_argument("--id", required=True)
     ce.add_argument("--forces", action="store_true")

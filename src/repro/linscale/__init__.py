@@ -15,10 +15,8 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
 * :mod:`~repro.linscale.kfoe` — the k-sampled entry points of that
   engine (complex Bloch Hamiltonians, one spectral window per k) and the
   MP-weighted force contraction (small-cell metals, strain sweeps);
-* :mod:`~repro.linscale.backends` — array backends for the region
-  recursions (``numpy_loop`` reference, ``numpy_batched``
-  shape-bucketed stacked GEMMs), selected per calculator/solve or via
-  ``REPRO_BACKEND``;
+* :mod:`~repro.linscale.backends` — the region kernel: one blocked
+  Chebyshev recursion serving the moments, density-row and fused passes;
 * :mod:`~repro.linscale.calculator` — :class:`LinearScalingCalculator`
   (drop-in for :class:`~repro.tb.calculator.TBCalculator` in MD,
   relaxation and the CLI, Γ or k-sampled via ``kpts=``) and
@@ -26,11 +24,6 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
   behind the same interface).
 """
 
-from repro.linscale.backends import (
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
 from repro.linscale.calculator import (
     DensityMatrixCalculator,
     LinearScalingCalculator,
@@ -77,7 +70,4 @@ __all__ = [
     "build_sparse_hamiltonian",
     "build_sparse_hamiltonian_k",
     "hamiltonian_fill_fraction",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
 ]

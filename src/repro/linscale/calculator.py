@@ -62,7 +62,6 @@ from repro.tb.purification import (
 from repro.units import EV_PER_A3_TO_GPA, KB
 from repro.utils.timing import PhaseTimer
 
-from repro.linscale.backends import resolve_backend
 from repro.linscale.foe_local import (
     build_region_gather_maps,
     solve_density_regions,
@@ -238,25 +237,13 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         through the folding ops.  A symmetry-broken structure degrades
         to the time-reversal reduction; the per-k pattern cache, window
         caches and warm-μ fast path all run on the wedge unchanged.
-    backend :
-        Array backend for the region Chebyshev recursions — a name from
-        :func:`repro.linscale.backends.available_backends`
-        (``"numpy_loop"``, ``"numpy_batched"``, …), a
-        :class:`~repro.linscale.backends.base.Backend` instance, or
-        ``None`` to resolve from the ``REPRO_BACKEND`` environment
-        variable / the package default.  Backends are physics-equivalent
-        (conformance-tested); ``numpy_batched`` runs each shape bucket of
-        regions as one stacked-GEMM recursion, which wins only for small
-        regions (measured on 512-atom Si at order 150: about 2× faster
-        than the loop at r_loc 4.2 Å, 2.8× slower at the default
-        6.24 Å).
     """
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,
                  order: int = 150, nworkers: int = 1, executor=None,
                  neighbor_method: str = "auto", skin: float = 0.5,
                  reuse: bool = True, rho_tol: float = 1e-10, kpts=None,
-                 kgrid_reduce: str = "trs", backend=None):
+                 kgrid_reduce: str = "trs"):
         if not model.orthogonal:
             raise ElectronicError(
                 "LinearScalingCalculator supports orthogonal models only "
@@ -280,7 +267,6 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self.executor = executor
         self.reuse = bool(reuse)
         self.rho_tol = float(rho_tol)
-        self.backend = resolve_backend(backend)
         if kgrid_reduce not in KGRID_REDUCE_MODES:
             raise ElectronicError(
                 f"unknown kgrid_reduce {kgrid_reduce!r}; choose from "
@@ -314,7 +300,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
     def _params(self) -> tuple:
         ksig = None if self.kpts_frac is None else \
             tuple(map(tuple, np.round(self.kpts_frac, 12)))
-        return (self.kT, self.r_loc, self.order, ksig, self.backend.name)
+        return (self.kT, self.r_loc, self.order, ksig)
 
     def _reset_persistent(self) -> None:
         """Drop every step-to-step cache; the next compute is cold."""
@@ -455,7 +441,6 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         c = self._counters
         return {
             "reuse": self.reuse,
-            "backend": self.backend.name,
             "neighbors": self._vlist.stats(),
             "neighbors_loc": self._vlist_loc.stats(),
             "hamiltonian": self._hbuilder.stats(),
@@ -606,7 +591,6 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         nelec = self.model.total_electrons(atoms.symbols)
         common = dict(order=self.order, nworkers=self.nworkers,
                       executor=self._region_executor(),
-                      backend=self.backend,
                       # every H(k) shares the builder's CSR structure, so
                       # one cached map set serves all k points
                       gather_maps=self._gather_maps(H_k[0], regions))
@@ -687,7 +671,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         return (f"LinearScalingCalculator(model={self.model.name!r}, "
                 f"{kmode}, kT={self.kT} eV, r_loc={self.r_loc:.2f} Å, "
                 f"order={self.order}, nworkers={self.nworkers}, "
-                f"reuse={self.reuse}, backend={self.backend.name!r})")
+                f"reuse={self.reuse})")
 
 
 class DensityMatrixCalculator(_DensityMatrixCalculatorBase):

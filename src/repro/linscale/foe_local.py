@@ -62,16 +62,10 @@ valid window) and a stale window raises
 :class:`~repro.errors.SpectralWindowError`.  Orthogonal models only,
 like purification.
 
-The region recursions themselves are evaluated through a pluggable
-array backend (:mod:`repro.linscale.backends`): the engine hands each
-batch of regions to the selected :class:`~repro.linscale.backends.base.
-Backend` as a :class:`~repro.linscale.backends.base.RegionBlockSource`
-— ``numpy_loop`` (the default) runs one region at a time,
-``numpy_batched`` runs shape-bucketed stacked-GEMM recursions, which
-only wins for small regions (measured on 512-atom Si at order 150: 2×
-faster than the loop at r_loc 4.2 Å, 2.8× slower at the default
-6.24 Å).  Pass ``backend=`` by name or instance, or set the
-``REPRO_BACKEND`` environment variable.
+Every pass — moments, density rows, fused — runs the one region kernel
+of :mod:`repro.linscale.backends.base`: a blocked Chebyshev recursion
+over a coefficient stack of 0, 1 or 4 rows, fed dense region blocks by a
+:class:`~repro.linscale.backends.base.RegionBlockSource`.
 """
 
 from __future__ import annotations
@@ -92,8 +86,7 @@ from repro.tb.chebyshev import (
     solve_mu_from_moments_multi,
 )
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.linscale.backends import resolve_backend
-from repro.linscale.backends.base import RegionBlockSource
+from repro.linscale.backends.base import KERNEL, RegionBlockSource, core_rows
 from repro.linscale.regions import LocalizationRegion
 
 
@@ -263,16 +256,16 @@ def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
 
 def _region_worker(args):
     """One pool chunk of one pass: build a block source over the (shared)
-    sparse H and run the named backend's *kind* pass on it — densifying
-    inside the worker keeps the parent from shipping dense blocks
-    through the pipe."""
-    kind, H, specs, center, span, arg, backend = args
+    sparse H and run the kernel's *kind* pass on it — densifying inside
+    the worker keeps the parent from shipping dense blocks through the
+    pipe."""
+    kind, H, specs, center, span, arg = args
     blocks = RegionBlockSource(H, specs)
-    return getattr(resolve_backend(backend), kind)(blocks, center, span, arg)
+    return getattr(KERNEL, kind)(blocks, center, span, arg)
 
 
 class _RegionPasses:
-    """Runs backend passes over every (k, region) of one solve.
+    """Runs kernel passes over every (k, region) of one solve.
 
     Inline solves (``nworkers == 1``, no executor) keep one block source
     per H(k); with ``cache=True`` both passes of a two-pass solve share
@@ -282,16 +275,15 @@ class _RegionPasses:
     (a context manager: leaving it shuts that pool down).
     """
 
-    def __init__(self, H_list, regions, nworkers, executor, backend,
-                 gather_maps, cache=False):
+    def __init__(self, H_list, regions, nworkers, executor, gather_maps,
+                 cache=False):
         self._own_pool = None
         if executor is None and nworkers > 1:
             # one pool for all passes instead of a spawn per map_tasks call
             executor = self._own_pool = ProcessPoolExecutor(
                 max_workers=nworkers)
         self.H_list = H_list
-        self.nworkers, self.executor, self.backend = \
-            nworkers, executor, backend
+        self.nworkers, self.executor = nworkers, executor
         self.specs, self.chunks = _chunk_specs(regions, nworkers)
         self.sources = None
         if executor is None:
@@ -303,13 +295,12 @@ class _RegionPasses:
                             for H in H_list]
 
     def run(self, kind: str, per_k: list) -> list[list]:
-        """Per k, the backend's *kind* outputs in region order; *per_k*
+        """Per k, the kernel's *kind* outputs in region order; *per_k*
         holds each k's ``(center, span, order-or-coefficients)``."""
-        backend = self.backend
         if self.sources is not None:
-            return [getattr(backend, kind)(src, *args)
+            return [getattr(KERNEL, kind)(src, *args)
                     for src, args in zip(self.sources, per_k)]
-        tasks = [(kind, H, [self.specs[i] for i in c], *args, backend.name)
+        tasks = [(kind, H, [self.specs[i] for i in c], *args)
                  for H, args in zip(self.H_list, per_k)
                  for c in self.chunks]
         flat = map_tasks(_region_worker, tasks, self.nworkers,
@@ -400,7 +391,6 @@ def solve_density_regions_k(H_list, weights,
                             executor=None, with_rho: bool = True,
                             windows: list[tuple[float, float]] | None = None,
                             mu_bracket: tuple[float, float] | None = None,
-                            backend=None,
                             gather_maps: list[np.ndarray] | None = None
                             ) -> RegionFOEResult:
     """k-sampled FOE-in-regions (reference two-pass solve).
@@ -438,14 +428,13 @@ def solve_density_regions_k(H_list, weights,
     Other parameters as in :func:`solve_density_regions`.
     """
     H_list, weights = _validate_inputs(H_list, weights, regions, kT, order)
-    backend = resolve_backend(backend)
     cached_window = windows is not None
     if not cached_window:
         windows = [lanczos_spectral_bounds(H) for H in H_list]
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
 
-    with _RegionPasses(H_list, regions, nworkers, executor, backend,
-                       gather_maps, cache=with_rho) as passes:
+    with _RegionPasses(H_list, regions, nworkers, executor, gather_maps,
+                       cache=with_rho) as passes:
         # -- pass 1: moments → μ, band energy, entropy, populations --------
         per_k = passes.run("moments", [(c, s, order) for c, s in scaled])
         mu, band, entropy, populations, coeffs_k = _moments_and_mu(
@@ -476,8 +465,7 @@ def solve_density_regions_k_fused(H_list, weights,
                                   mu_guess: float,
                                   nworkers: int = 1, executor=None,
                                   rho_tol: float = 1e-10,
-                                  gather_maps: list[np.ndarray] | None = None,
-                                  backend=None
+                                  gather_maps: list[np.ndarray] | None = None
                                   ) -> RegionFOEResult:
     """Single-pass k-sampled FOE with per-k μ-Taylor correction.
 
@@ -490,13 +478,12 @@ def solve_density_regions_k_fused(H_list, weights,
     Other parameters as in :func:`solve_density_regions_k`.
     """
     H_list, weights = _validate_inputs(H_list, weights, regions, kT, order)
-    backend = resolve_backend(backend)
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
     deriv_k = [fermi_mu_derivative_coefficients(c, s, float(mu_guess), kT,
                                                 order, nderiv=3)
                for c, s in scaled]
 
-    with _RegionPasses(H_list, regions, nworkers, executor, backend,
+    with _RegionPasses(H_list, regions, nworkers, executor,
                        gather_maps) as passes:
         per_k = passes.run("fused", [(c, s, d) for (c, s), d
                                      in zip(scaled, deriv_k)])
@@ -529,8 +516,7 @@ def solve_density_regions_k_fused(H_list, weights,
 
 def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
     """μ-corrected core density rows from one region's accumulant stack."""
-    cols = np.tensordot(w_taylor, outs, axes=([0], [0]))
-    return np.conj(cols.T) if np.iscomplexobj(cols) else cols.T
+    return core_rows(np.tensordot(w_taylor, outs, axes=([0], [0])))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +529,6 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
                           executor=None, with_rho: bool = True,
                           window: tuple[float, float] | None = None,
                           mu_bracket: tuple[float, float] | None = None,
-                          backend=None,
                           gather_maps: list[np.ndarray] | None = None
                           ) -> RegionFOEResult:
     """FOE-in-regions density matrix from a sparse Hamiltonian (two-pass).
@@ -579,10 +564,6 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
     mu_bracket :
         Optional warm μ bracket (e.g. last step's μ ± a few kT); verified
         and widened automatically when it no longer brackets the count.
-    backend :
-        Array backend evaluating the region batches — a name from
-        :func:`repro.linscale.backends.available_backends`, an instance,
-        or ``None`` for the ``REPRO_BACKEND``/default resolution.
     gather_maps :
         Optional cached :func:`build_region_gather_maps` output; the
         inline (``nworkers == 1``, no executor) path then densifies each
@@ -599,7 +580,7 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         [H], [1.0], regions, n_electrons, kT, order=order, mu=mu,
         nworkers=nworkers, executor=executor, with_rho=with_rho,
         windows=None if window is None else [window],
-        mu_bracket=mu_bracket, backend=backend, gather_maps=gather_maps)
+        mu_bracket=mu_bracket, gather_maps=gather_maps)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
@@ -609,8 +590,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
                                 mu_guess: float,
                                 nworkers: int = 1, executor=None,
                                 rho_tol: float = 1e-10,
-                                gather_maps: list[np.ndarray] | None = None,
-                                backend=None
+                                gather_maps: list[np.ndarray] | None = None
                                 ) -> RegionFOEResult:
     """Single-pass FOE-in-regions with μ-Taylor correction (MD fast path).
 
@@ -636,7 +616,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     rho_tol :
         Bound on the acceptable μ-Taylor remainder in ρ; sets the
         fallback threshold ``|Δμ| ≤ kT · (24·rho_tol)^{1/4}``.
-    gather_maps, backend :
+    gather_maps :
         As in :func:`solve_density_regions`.
 
     Returns
@@ -646,7 +626,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     return solve_density_regions_k_fused(
         [H], [1.0], regions, n_electrons, kT, order=order, windows=[window],
         mu_guess=mu_guess, nworkers=nworkers, executor=executor,
-        rho_tol=rho_tol, gather_maps=gather_maps, backend=backend)
+        rho_tol=rho_tol, gather_maps=gather_maps)
 
 
 def sparse_band_forces(atoms, model, nl, rho: sp.csr_matrix

@@ -1,18 +1,12 @@
-"""Array-backend conformance and shape-bucketing property tests.
+"""The region kernel against an independent eigendecomposition oracle.
 
-Every backend registered in :mod:`repro.linscale.backends` is held to
-the same contract against the ``numpy_loop`` reference oracle: region
-order preserved, real symmetric *and* complex Hermitian blocks, moments
-within 1e-12 and end-to-end forces within 1e-10, through both the
-two-pass and the fused solve.  The suite is parametrized over
-``available_backends()``, so a backend added to the registry is picked
-up with zero test changes.
-
-The hypothesis section drills the batched backend's one real risk —
-shape bucketing and padding: buckets must partition the region list
-exactly, and pad rows/columns must never leak into moments or density
-rows for any region-size distribution (all-distinct, all-equal, and
-everything between).
+The one blocked Chebyshev recursion of
+:mod:`repro.linscale.backends.base` serves the moments pass (no
+coefficient rows), the density-row pass (one row) and the fused pass
+(four rows).  Each is checked here against ``numpy.linalg.eigh`` of
+every region block, ``T_k(H̃) = V·cos(k·arccos λ)·Vᴴ``, on random real
+symmetric and complex Hermitian blocks, to 1e-12.  The block-source
+tests pin the densify-once contract and the gather maps.
 """
 
 from __future__ import annotations
@@ -20,42 +14,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
 
-from repro import obs
-from repro.calculators import make_calculator
 from repro.errors import ReproError
-from repro.linscale import LinearScalingCalculator
 from repro.linscale.backends import (
-    DEFAULT_BACKEND,
+    KERNEL,
     RegionBlockSource,
     available_backends,
     get_backend,
-    plan_buckets,
-    resolve_backend,
 )
-from repro.linscale.backends.numpy_loop import NumpyLoopBackend
 from repro.linscale.foe_local import (
     build_region_gather_maps,
     solve_density_regions,
     solve_density_regions_fused,
 )
-from repro.linscale.kfoe import (
-    solve_density_regions_k,
-    spectral_windows_k,
-)
 from repro.linscale.regions import extract_regions
-from repro.linscale.sparse_hamiltonian import (
-    build_sparse_hamiltonian,
-    build_sparse_hamiltonian_k,
-)
+from repro.linscale.sparse_hamiltonian import build_sparse_hamiltonian
 from repro.neighbors import neighbor_list
 from repro.obs import metrics as metrics_mod
-from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
 
-REFERENCE = "numpy_loop"
-ALL_BACKENDS = available_backends()
 ORDER = 60
+COMPLEX = pytest.mark.parametrize("complex_h", [False, True],
+                                  ids=["real", "complex"])
 
 
 # --------------------------------------------------------- synthetic batches
@@ -64,8 +43,8 @@ def random_region_batch(seed: int, complex_h: bool = False,
     """A sparse Hermitian H plus heterogeneous random region specs.
 
     Region sizes, orbital subsets and core positions are all drawn at
-    random, so every bucketing path (distinct shapes, repeated shapes,
-    cores scattered through the region) gets exercised.
+    random, so cores scattered through the region, single-column cores
+    and whole-region cores all get exercised.
     """
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
@@ -89,56 +68,91 @@ def random_region_batch(seed: int, complex_h: bool = False,
     return sp.csr_matrix(dense), specs, 0.0, span
 
 
-def _assert_region_lists_close(got, want, atol):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=0.0, atol=atol)
+def chebyshev_oracle(h_sub: np.ndarray, center: float, span: float,
+                     order: int) -> np.ndarray:
+    """``T_k(H̃)`` for k = 0 … order, (K+1, n, n), from ``eigh``."""
+    n = h_sub.shape[0]
+    lam, vecs = np.linalg.eigh((h_sub - center * np.eye(n)) / span)
+    assert np.all(np.abs(lam) < 1.0)
+    cheb = np.cos(np.outer(np.arange(order + 1), np.arccos(lam)))
+    return np.einsum("ij,kj,lj->kil", vecs, cheb, vecs.conj())
 
 
-# ------------------------------------------------- kernel-level conformance
-@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_moments_match_reference(name, complex_h):
+def _oracle_per_region(blocks: RegionBlockSource, center, span, coeffs):
+    """Per region: oracle (m, e, outs, rows) for a (S, K+1) stack."""
+    order = coeffs.shape[1] - 1
+    out = []
+    for i in range(len(blocks)):
+        h_sub, core = blocks.get(i), blocks.core_local(i)
+        t = chebyshev_oracle(h_sub, center, span, order)
+        t_cc = t[:, core][:, :, core]
+        m = np.einsum("kii->k", t_cc).real
+        e = np.einsum("kab,ba->k", t[:, core, :], h_sub[:, core]).real
+        outs = np.einsum("sk,kab->sab", coeffs, t[:, :, core])
+        rows = np.einsum("sk,kab->sab", coeffs, t[:, core, :])
+        out.append((m, e, outs, rows))
+    return out
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# ----------------------------------------------- the kernel vs the oracle
+@COMPLEX
+def test_moments_match_reference(complex_h):
     H, specs, center, span = random_region_batch(11 + complex_h, complex_h)
     blocks = RegionBlockSource(H, specs)
-    ref = get_backend(REFERENCE).moments(blocks, center, span, ORDER)
-    got = get_backend(name).moments(blocks, center, span, ORDER)
-    _assert_region_lists_close([m for m, _ in got], [m for m, _ in ref],
-                               atol=1e-12)
-    _assert_region_lists_close([e for _, e in got], [e for _, e in ref],
-                               atol=1e-12)
+    got = KERNEL.moments(blocks, center, span, ORDER)
+    want = _oracle_per_region(blocks, center, span,
+                              np.empty((0, ORDER + 1)))
+    assert len(got) == len(specs)
+    for (m, e), (m_ref, e_ref, _, _) in zip(got, want):
+        assert m.shape == e.shape == (ORDER + 1,)
+        _assert_close(m, m_ref)
+        _assert_close(e, e_ref)
 
 
-@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_density_rows_match_reference(name, complex_h):
+@COMPLEX
+def test_density_rows_match_reference(complex_h):
     H, specs, center, span = random_region_batch(23 + complex_h, complex_h)
     blocks = RegionBlockSource(H, specs)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=ORDER + 1) / (1.0 + np.arange(ORDER + 1)) ** 2
-    ref = get_backend(REFERENCE).density_rows(blocks, center, span, coeffs)
-    got = get_backend(name).density_rows(blocks, center, span, coeffs)
-    _assert_region_lists_close(got, ref, atol=1e-12)
+    got = KERNEL.density_rows(blocks, center, span, coeffs)
+    want = _oracle_per_region(blocks, center, span, coeffs[None, :])
+    assert len(got) == len(specs)
+    for rows, (_, _, _, rows_ref), (orb, core) in zip(got, want, specs):
+        assert rows.shape == (len(core), len(orb))
+        _assert_close(rows, rows_ref[0])
 
 
-@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_fused_matches_reference(name, complex_h):
+@COMPLEX
+def test_fused_matches_reference(complex_h):
     H, specs, center, span = random_region_batch(37 + complex_h, complex_h)
     blocks = RegionBlockSource(H, specs)
     rng = np.random.default_rng(9)
     deriv = rng.normal(size=(4, ORDER + 1)) / (1.0 + np.arange(ORDER + 1))
-    ref = get_backend(REFERENCE).fused(blocks, center, span, deriv)
-    got = get_backend(name).fused(blocks, center, span, deriv)
-    _assert_region_lists_close([m for m, _, _ in got], [m for m, _, _ in ref],
-                               atol=1e-12)
-    _assert_region_lists_close([e for _, e, _ in got], [e for _, e, _ in ref],
-                               atol=1e-12)
-    _assert_region_lists_close([o for _, _, o in got], [o for _, _, o in ref],
-                               atol=1e-12)
+    got = KERNEL.fused(blocks, center, span, deriv)
+    want = _oracle_per_region(blocks, center, span, deriv)
+    assert len(got) == len(specs)
+    for (m, e, outs), (m_ref, e_ref, outs_ref, _) in zip(got, want):
+        _assert_close(m, m_ref)
+        _assert_close(e, e_ref)
+        _assert_close(outs, outs_ref)
 
 
-# -------------------------------------------------- solver-level conformance
+def test_registry_serves_the_one_kernel():
+    assert available_backends() == ("numpy_loop",)
+    assert get_backend("numpy_loop") is KERNEL
+
+
+def test_get_backend_unknown_name_lists_available():
+    with pytest.raises(ReproError, match="numpy_loop"):
+        get_backend("no_such_backend")
+
+
+# ---------------------------------------------------------- block sources
 @pytest.fixture(scope="module")
 def si_problem(gsp):
     from repro.geometry import bulk_silicon, supercell
@@ -150,161 +164,6 @@ def si_problem(gsp):
     regions = extract_regions(atoms, gsp, r_loc, neighbor_list(atoms, r_loc))
     nelec = gsp.total_electrons(atoms.symbols)
     return H, regions, nelec
-
-
-@pytest.fixture(scope="module")
-def si_problem_k(gsp):
-    from repro.geometry import bulk_silicon, rattle
-
-    atoms = rattle(bulk_silicon(), 0.06, seed=123)
-    nl = neighbor_list(atoms, gsp.cutoff)
-    kfrac, weights = monkhorst_pack((2, 2, 2))
-    kcart = frac_to_cartesian(kfrac, atoms.cell)
-    H_list = [build_sparse_hamiltonian_k(atoms, gsp, nl, k)[0] for k in kcart]
-    r_loc = 1.5 * gsp.cutoff
-    regions = extract_regions(atoms, gsp, r_loc, neighbor_list(atoms, r_loc))
-    nelec = gsp.total_electrons(atoms.symbols)
-    return H_list, weights, regions, nelec
-
-
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_two_pass_solve_parity_real(name, si_problem):
-    H, regions, nelec = si_problem
-    ref = solve_density_regions(H, regions, nelec, kT=0.2, order=80,
-                                backend=REFERENCE)
-    got = solve_density_regions(H, regions, nelec, kT=0.2, order=80,
-                                backend=name)
-    assert got.band_energy == pytest.approx(ref.band_energy, abs=1e-10)
-    assert got.mu == pytest.approx(ref.mu, abs=1e-12)
-    assert got.entropy == pytest.approx(ref.entropy, abs=1e-12)
-    np.testing.assert_allclose(got.populations, ref.populations,
-                               rtol=0, atol=1e-12)
-    assert abs(got.rho - ref.rho).max() < 1e-12
-
-
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_fused_solve_parity_real(name, si_problem):
-    H, regions, nelec = si_problem
-    cold = solve_density_regions(H, regions, nelec, kT=0.2, order=80,
-                                 backend=REFERENCE)
-    window = cold.spectral_bounds
-    ref = solve_density_regions_fused(H, regions, nelec, kT=0.2, order=80,
-                                      window=window, mu_guess=cold.mu,
-                                      backend=REFERENCE)
-    got = solve_density_regions_fused(H, regions, nelec, kT=0.2, order=80,
-                                      window=window, mu_guess=cold.mu,
-                                      backend=name)
-    assert got.used_fallback == ref.used_fallback
-    assert got.band_energy == pytest.approx(ref.band_energy, abs=1e-10)
-    assert abs(got.rho - ref.rho).max() < 1e-12
-
-
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_two_pass_solve_parity_complex_k(name, si_problem_k):
-    H_list, weights, regions, nelec = si_problem_k
-    windows = spectral_windows_k(H_list)
-    ref = solve_density_regions_k(H_list, weights, regions, nelec, kT=0.2,
-                                  order=80, windows=windows,
-                                  backend=REFERENCE)
-    got = solve_density_regions_k(H_list, weights, regions, nelec, kT=0.2,
-                                  order=80, windows=windows, backend=name)
-    assert got.band_energy == pytest.approx(ref.band_energy, abs=1e-10)
-    assert got.mu == pytest.approx(ref.mu, abs=1e-12)
-    for rg, rr in zip(got.rho_k, ref.rho_k):
-        assert abs(rg - rr).max() < 1e-12
-
-
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_calculator_force_parity(name, si64_rattled_local, gsp):
-    """End-to-end O(N) forces agree across backends to 1e-10 eV/Å."""
-    atoms = si64_rattled_local
-    ref_calc = LinearScalingCalculator(gsp, kT=0.2, order=80,
-                                       backend=REFERENCE)
-    calc = LinearScalingCalculator(gsp, kT=0.2, order=80, backend=name)
-    f_ref = ref_calc.get_forces(atoms)
-    f = calc.get_forces(atoms)
-    e_ref = ref_calc.get_potential_energy(atoms)
-    e = calc.get_potential_energy(atoms)
-    assert e == pytest.approx(e_ref, abs=1e-9)
-    assert np.abs(f - f_ref).max() < 1e-10
-
-
-@pytest.fixture(scope="module")
-def si64_rattled_local():
-    from repro.geometry import bulk_silicon, rattle, supercell
-
-    return rattle(supercell(bulk_silicon(), 2), 0.05, seed=7)
-
-
-# ------------------------------------------------------ bucketing properties
-shape_lists = st.lists(
-    st.integers(1, 200).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(1, n))),
-    min_size=1, max_size=80)
-
-
-@given(shapes=shape_lists, gran=st.integers(1, 16), maxr=st.integers(1, 32))
-@settings(max_examples=120, deadline=None)
-def test_plan_buckets_partitions_exactly(shapes, gran, maxr):
-    buckets = plan_buckets(shapes, granularity=gran, max_regions=maxr)
-    seen = [i for b in buckets for i in b.indices]
-    assert sorted(seen) == list(range(len(shapes)))
-    assert len(set(seen)) == len(shapes)
-    for b in buckets:
-        assert 1 <= len(b) <= maxr
-        assert b.n_pad % gran == 0
-        for i in b.indices:
-            n, nc = shapes[i]
-            # every member fits, pad never exceeds one granule
-            assert 0 <= b.n_pad - n < gran
-            assert nc <= b.nc_pad
-        assert b.nc_pad == max(shapes[i][1] for i in b.indices)
-
-
-def test_plan_buckets_degenerate_all_equal():
-    shapes = [(48, 12)] * 300
-    buckets = plan_buckets(shapes, granularity=8, max_regions=256)
-    assert [len(b) for b in buckets] == [256, 44]
-    assert all(b.n_pad == 48 and b.nc_pad == 12 for b in buckets)
-
-
-def test_plan_buckets_degenerate_all_distinct():
-    shapes = [(n, min(n, 1 + n % 5)) for n in range(1, 40)]
-    buckets = plan_buckets(shapes, granularity=1, max_regions=256)
-    # granularity 1 → one bucket per distinct size
-    assert len(buckets) == len(shapes)
-    assert all(len(b) == 1 for b in buckets)
-
-
-def test_plan_buckets_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        plan_buckets([(4, 5)])  # nc > n
-    with pytest.raises(ValueError):
-        plan_buckets([(0, 0)])
-    with pytest.raises(ValueError):
-        plan_buckets([(4, 2)], granularity=0)
-
-
-@given(seed=st.integers(0, 10_000), complex_h=st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_padding_never_leaks(seed, complex_h):
-    """Batched moments/ρ-rows equal the loop oracle for random region-size
-    distributions — any pad-row leak would show up as a mismatch."""
-    H, specs, center, span = random_region_batch(
-        seed, complex_h, nregions=6, dim=24)
-    blocks = RegionBlockSource(H, specs)
-    order = 24
-    rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=order + 1) / (1.0 + np.arange(order + 1)) ** 2
-    loop = get_backend("numpy_loop")
-    batched = get_backend("numpy_batched")
-    ref_m = loop.moments(blocks, center, span, order)
-    got_m = batched.moments(blocks, center, span, order)
-    _assert_region_lists_close([m for m, _ in got_m], [m for m, _ in ref_m],
-                               atol=1e-12)
-    ref_r = loop.density_rows(blocks, center, span, coeffs)
-    got_r = batched.density_rows(blocks, center, span, coeffs)
-    _assert_region_lists_close(got_r, ref_r, atol=1e-12)
 
 
 def test_gather_maps_round_trip(si_problem):
@@ -323,7 +182,6 @@ def test_gather_maps_round_trip(si_problem):
         np.testing.assert_array_equal(direct.get(i), want)
 
 
-# ------------------------------------------------------- densify accounting
 @pytest.fixture()
 def metrics_on():
     old_registry = metrics_mod._swap_registry(metrics_mod.MetricsRegistry())
@@ -336,96 +194,21 @@ def metrics_on():
         metrics_mod._ENABLED = old_enabled
 
 
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_two_pass_densifies_each_region_once(name, si_problem, metrics_on):
+def test_two_pass_densifies_each_region_once(si_problem, metrics_on):
     """The silent-densify footgun: both passes of a two-pass solve must
-    share one densification per region, for every backend."""
+    share one densification per region."""
     H, regions, nelec = si_problem
-    solve_density_regions(H, regions, nelec, kT=0.2, order=40, backend=name)
+    solve_density_regions(H, regions, nelec, kT=0.2, order=40)
     snap = metrics_on.snapshot()
     assert snap["counters"]["foe.densify"] == len(regions)
 
 
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_fused_densifies_each_region_once(name, si_problem, metrics_on):
+def test_fused_densifies_each_region_once(si_problem, metrics_on):
     H, regions, nelec = si_problem
-    cold = solve_density_regions(H, regions, nelec, kT=0.2, order=40,
-                                 backend=name)
+    cold = solve_density_regions(H, regions, nelec, kT=0.2, order=40)
     before = metrics_on.snapshot()["counters"]["foe.densify"]
     solve_density_regions_fused(H, regions, nelec, kT=0.2, order=40,
                                 window=cold.spectral_bounds,
-                                mu_guess=cold.mu, backend=name)
+                                mu_guess=cold.mu)
     after = metrics_on.snapshot()["counters"]["foe.densify"]
     assert after - before == len(regions)
-
-
-def test_batched_emits_bucket_metrics(si_problem, metrics_on):
-    H, regions, nelec = si_problem
-    solve_density_regions(H, regions, nelec, kT=0.2, order=40,
-                          backend="numpy_batched")
-    snap = metrics_on.snapshot()
-    assert snap["counters"]["foe.bucket.launch"] >= 1
-    assert snap["counters"]["foe.bucket.regions"] == 2 * len(regions)
-    assert snap["histograms"]["foe.bucket.batch_s"]["count"] >= 1
-    fills = snap["histograms"]["foe.bucket.fill"]
-    assert 0.0 < fills["min"] <= fills["max"] <= 1.0
-
-
-# ----------------------------------------------------- registry & dispatch
-def test_registry_lists_both_numpy_backends():
-    assert {"numpy_loop", "numpy_batched"} <= set(ALL_BACKENDS)
-    assert DEFAULT_BACKEND == "numpy_loop"
-
-
-def test_get_backend_unknown_name_lists_available():
-    with pytest.raises(ReproError, match="numpy_loop"):
-        get_backend("no_such_backend")
-
-
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend(None).name == DEFAULT_BACKEND
-    monkeypatch.setenv("REPRO_BACKEND", "numpy_batched")
-    assert resolve_backend(None).name == "numpy_batched"
-    # explicit name beats the environment
-    assert resolve_backend("numpy_loop").name == "numpy_loop"
-    # an instance passes straight through
-    inst = NumpyLoopBackend()
-    assert resolve_backend(inst) is inst
-
-
-def test_make_calculator_threads_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    calc = make_calculator({"model": "gsp-si", "solver": "linscale",
-                            "kT": 0.2, "backend": "numpy_batched"})
-    assert calc.backend.name == "numpy_batched"
-    assert "numpy_batched" in repr(calc)
-    assert calc.state_report()["backend"] == "numpy_batched"
-
-
-def test_make_calculator_env_var_default(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "numpy_batched")
-    calc = make_calculator({"model": "gsp-si", "solver": "linscale",
-                            "kT": 0.2})
-    assert calc.backend.name == "numpy_batched"
-
-
-def test_make_calculator_rejects_backend_for_diag():
-    with pytest.raises(ReproError, match="linscale"):
-        make_calculator({"model": "gsp-si", "solver": "diag",
-                         "backend": "numpy_loop"})
-
-
-def test_make_calculator_rejects_unknown_backend():
-    with pytest.raises(ReproError, match="available"):
-        make_calculator({"model": "gsp-si", "solver": "linscale",
-                         "kT": 0.2, "backend": "cuda_dreams"})
-
-
-def test_cli_backend_flag_reaches_spec():
-    from repro.cli import _calc_spec, build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["energy", "x.xyz", "--solver", "linscale",
-                              "--kt", "0.2", "--backend", "numpy_batched"])
-    assert _calc_spec(args)["backend"] == "numpy_batched"

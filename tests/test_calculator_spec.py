@@ -107,8 +107,10 @@ def test_cross_field_rules_preserved():
         CalculatorSpec(model="sw-si", solver="foe")
     with pytest.raises(ReproError, match="tight-binding"):
         CalculatorSpec(model="sw-si", kgrid=2)
-    with pytest.raises(ReproError, match="linscale"):
-        CalculatorSpec(solver="diag", backend="numpy_loop")
+    # 'backend' is not a spec key: rejected like any unknown key
+    with pytest.raises(ReproError, match="unknown calculator spec keys"):
+        CalculatorSpec.from_dict({"solver": "linscale", "kT": 0.2,
+                                  "backend": "numpy_loop"})
 
 
 def test_make_calculator_dispatch_unchanged():

@@ -298,10 +298,15 @@ def test_check_metrics_gate(tmp_path):
     assert gate.main([str(path), "--min-fused-hit", "0.5",
                       "--min-pattern-hit", "0.5"]) == 0
     assert gate.main([str(path), "--min-fused-hit", "0.9"]) == 1
-    # a snapshot with no relevant counters passes every floor (no data)
+    # a positive floor with no data to check fails: a benchmark that
+    # stops emitting its counters must not leave its gate green
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"counters": {}}))
-    assert gate.main([str(empty), "--min-fused-hit", "0.99"]) == 0
+    assert gate.main([str(empty), "--min-fused-hit", "0.99"]) == 1
+    assert gate.main([str(empty), "--min-traj-size-ratio", "3.0"]) == 1
+    # a floor of 0 checks nothing, so no data still passes
+    assert gate.main([str(empty)]) == 0
+    assert gate.main([str(empty), "--min-fused-hit", "0"]) == 0
 
 
 # ----------------------------------------------- timing/logging bridges

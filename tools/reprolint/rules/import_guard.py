@@ -1,9 +1,10 @@
 """Rule: optional heavy dependencies never import at module top level.
 
 The package promises a numpy/scipy-only core: ``ase`` (the calculator
-bridge), ``numba`` (the JIT backend) and ``cupy`` (GPU experiments) are
-*optional*, probed with ``importlib.util.find_spec`` or a
-``try/except ImportError`` at the point of use.  One top-level
+bridge) is *optional*, probed with ``importlib.util.find_spec`` or a
+``try/except ImportError`` at the point of use, and the same holds for
+any future use of the ``numba`` / ``cupy`` accelerators (no module uses
+them today).  One top-level
 ``import ase`` in a core module makes ``import repro`` itself fail on a
 lean install — the bug only surfaces on machines that don't have the
 dev environment, which is why it needs a static check.

@@ -1,7 +1,7 @@
 """Rule: telemetry names are literals, on-catalog, and well-formed.
 
 ``tools/check_metrics.py`` gates CI on metric *names* (fused-path hit
-rate, pattern-cache rate, backend speedup), and ``tools/trace_report.py``
+rate, pattern-cache rate, trajectory size ratio), and ``tools/trace_report.py``
 aggregates spans by name.  Both go quietly blind when a call site
 renames an instrument or builds its name at runtime.  So, for every
 call into ``repro.obs`` (``counter_inc`` / ``gauge_set`` / ``observe``
