@@ -128,13 +128,10 @@ def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
         g = np.zeros((len(pidx), 3))
         g_sk_tot = np.zeros((len(pidx), 3))
         for rho, wk, k, phase in zip(rho_k, weights, k_carts, phased):
-            rho_blk = _gather_blocks(rho, rows, cols)
-            if phase:
-                phases = np.exp(1j * (vec @ k))
-                g_sk, q = k_bond_force_terms(rho_blk, phases, B, G)
-                g_k = g_sk + q[:, None] * k[None, :]
-            else:
-                g_sk = g_k = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
+            phases = np.exp(1j * (vec @ k)) if phase else None
+            g_sk, q = k_bond_force_terms(_gather_blocks(rho, rows, cols),
+                                         phases, B, G)
+            g_k = g_sk if q is None else g_sk + q[:, None] * k[None, :]
             g_sk_tot += wk * g_sk
             g += wk * g_k
 

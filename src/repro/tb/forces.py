@@ -60,7 +60,8 @@ def density_matrices(eigenvectors: np.ndarray, occupations: np.ndarray,
 def band_forces(atoms, model, nl: NeighborList, rho: np.ndarray,
                 w: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Band-structure forces (N, 3) and virial (3, 3).
+    """Band-structure forces (N, 3) and virial (3, 3) at Γ — the real
+    case of :func:`band_forces_k`.
 
     Parameters
     ----------
@@ -69,53 +70,12 @@ def band_forces(atoms, model, nl: NeighborList, rho: np.ndarray,
     w :
         Energy-weighted density matrix; required for non-orthogonal models.
     """
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    if nl.n_pairs == 0:
-        return forces, virial
-
-    need_overlap = not model.orthogonal
-    if need_overlap and w is None:
-        raise ValueError(
-            "non-orthogonal model needs the energy-weighted density matrix"
-        )
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-
-        V, dV = model.hopping(sa, sb, r)
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]  # (P,3,ni,nj)
-
-        rows = oi[:, None, None] + np.arange(ni)[None, :, None]
-        cols = oj[:, None, None] + np.arange(nj)[None, None, :]
-        rho_blk = rho[rows, cols]                            # (P,ni,nj)
-        # ∂E/∂d_c = 2 Σ_ab ρ_ab G[c,a,b]
-        g = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
-
-        if need_overlap:
-            ov = model.overlap(sa, sb, r)
-            GS = sk_block_gradients(u, r, ov[0], ov[1])[:, :, :ni, :nj]
-            w_blk = w[rows, cols]
-            g -= 2.0 * np.einsum("pab,pcab->pc", w_blk, GS)
-
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g, vec)
-
-    return forces, virial
+    return band_forces_k(atoms, model, nl, rho, None, w=w)
 
 
-def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
-                       B: np.ndarray, G: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray | None,
+                       B: np.ndarray | None, G: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-bond k-force pieces ``(g_sk, q)`` from gathered ρ(k) blocks.
 
     ``g_sk[p, c] = 2 Re Σ_ab conj(ρ_ab) p (G_cab)`` is the Slater–Koster
@@ -124,7 +84,11 @@ def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
     contraction shared by the dense (:func:`band_forces_k`) and sparse
     (:func:`repro.linscale.kfoe.sparse_band_forces_k`) assemblies, so
     the easy-to-get-wrong phase physics lives in exactly one place.
+    ``phases=None`` is a real ρ at k = 0: ``g_sk = 2 Σ_ab ρ_ab G_cab``
+    in real arithmetic and ``q`` is ``None`` (B is not read).
     """
+    if phases is None:
+        return 2.0 * np.einsum("pab,pcab->pc", rho_blk, G), None
     cr = np.conj(rho_blk) * phases[:, None, None]
     g_sk = 2.0 * np.real(np.einsum("pab,pcab->pc", cr, G))
     q = 2.0 * np.real(1j * np.einsum("pab,pab->p", cr, B))
@@ -132,9 +96,9 @@ def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
 
 
 def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
-                  k_cart, w: np.ndarray | None = None
+                  k_cart=None, w: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Band forces and virial at one Cartesian k point (complex ρ(k)).
+    """Band forces and virial at one Cartesian k point (``None`` = Γ).
 
     Each half-list bond enters ``H(k)`` as ``p·B`` at (i, j) and its
     conjugate transpose at (j, i), with the atomic-gauge phase
@@ -153,13 +117,16 @@ def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
     vectors co-strain as ``dk = −εᵀk`` and the phase-gradient
     contribution cancels exactly against ``(∂E/∂k)·dk`` (``k·d`` is
     affine-invariant).  Validated against finite-difference −dE/dV in
-    the test suite.  At Γ this reduces bit-for-bit to
-    :func:`band_forces`.  The caller sums over k with the sampling
-    weights.
+    the test suite.  A real ρ at k = 0 (the Γ case, :func:`band_forces`)
+    is contracted in real arithmetic, ``g = 2 Σ_ab ρ_ab G_cab``, with no
+    phases, B blocks or ``q`` term.  The caller sums over k with the
+    sampling weights.
     """
     symbols = atoms.symbols
     offsets, _ = orbital_offsets(symbols, model)
-    k = np.asarray(k_cart, dtype=float).reshape(3)
+    k = np.zeros(3) if k_cart is None else \
+        np.asarray(k_cart, dtype=float).reshape(3)
+    phased = np.iscomplexobj(rho) or bool(k.any())
     n = len(atoms)
     forces = np.zeros((n, 3))
     virial = np.zeros((3, 3))
@@ -179,25 +146,25 @@ def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
         ni, nj = model.norb(sa), model.norb(sb)
         oi = offsets[nl.i[pidx]]
         oj = offsets[nl.j[pidx]]
-        phases = np.exp(1j * (vec @ k))
-
-        V, dV = model.hopping(sa, sb, r)
-        B = sk_blocks(u, V)[:, :ni, :nj]
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]
-
+        phases = np.exp(1j * (vec @ k)) if phased else None
         rows = oi[:, None, None] + np.arange(ni)[None, :, None]
         cols = oj[:, None, None] + np.arange(nj)[None, None, :]
+
+        V, dV = model.hopping(sa, sb, r)
+        B = sk_blocks(u, V)[:, :ni, :nj] if phased else None
+        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]  # (P,3,ni,nj)
         g_sk, q = k_bond_force_terms(rho[rows, cols], phases, B, G)
 
         if need_overlap:
             ov = model.overlap(sa, sb, r)
-            S = sk_blocks(u, ov[0])[:, :ni, :nj]
+            S = sk_blocks(u, ov[0])[:, :ni, :nj] if phased else None
             GS = sk_block_gradients(u, r, ov[0], ov[1])[:, :, :ni, :nj]
             gs_w, q_w = k_bond_force_terms(w[rows, cols], phases, S, GS)
             g_sk -= gs_w
-            q -= q_w
+            if q is not None:
+                q -= q_w
 
-        g = g_sk + q[:, None] * k[None, :]
+        g = g_sk if q is None else g_sk + q[:, None] * k[None, :]
         np.add.at(forces, nl.i[pidx], g)
         np.add.at(forces, nl.j[pidx], -g)
         virial += np.einsum("pc,pd->cd", g_sk, vec)

@@ -16,20 +16,29 @@ from repro.units import KB
 
 
 def zero_temperature_occupations(eigenvalues: np.ndarray, n_electrons: float,
+                                 weights: np.ndarray | None = None,
                                  degeneracy_tol: float = 1e-8) -> np.ndarray:
     """Aufbau filling with spin factor 2 and even splitting of degeneracy.
 
     Levels degenerate with the highest (partially) occupied one share the
     remaining electrons equally — this keeps occupations (hence forces)
     continuous and basis-orientation independent for symmetric structures.
+    With per-state *weights* (k sampling, ``Σ w f = n_electrons``) a shell
+    of capacity ``2 Σ_shell w`` is filled in order of energy, and the
+    partly filled one gets ``f = take / Σ_shell w`` on every member —
+    states degenerate across symmetry-equivalent k points stay equal.
     """
     eps = np.asarray(eigenvalues, dtype=float)
     n = len(eps)
-    if n_electrons < 0 or n_electrons > 2 * n + 1e-9:
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    capacity = 2.0 * float(w.sum())
+    if n_electrons < 0 or n_electrons > capacity + 1e-9:
         raise ElectronicError(
-            f"cannot place {n_electrons} electrons in {n} levels (max {2 * n})"
+            f"cannot place {n_electrons} electrons in {n} levels "
+            f"(max {capacity:g})"
         )
     order = np.argsort(eps)
+    w_sorted = w[order]
     f_sorted = np.zeros(n)
     remaining = float(n_electrons)
     pos = 0
@@ -39,10 +48,9 @@ def zero_temperature_occupations(eigenvalues: np.ndarray, n_electrons: float,
         shell_end = pos
         while shell_end < n and eps[order[shell_end]] <= e0 + degeneracy_tol:
             shell_end += 1
-        shell = order[pos:shell_end]
-        capacity = 2.0 * len(shell)
-        take = min(capacity, remaining)
-        f_sorted[pos:shell_end] = take / len(shell)
+        w_shell = float(w_sorted[pos:shell_end].sum())
+        take = min(2.0 * w_shell, remaining)
+        f_sorted[pos:shell_end] = take / w_shell
         remaining -= take
         pos = shell_end
     f = np.empty(n)
@@ -164,17 +172,13 @@ def fermi_dirac_occupations(eigenvalues: np.ndarray, n_electrons: float,
 
     Returns ``(f, mu, entropy)`` with ``Σ w f = n_electrons`` and the
     entropy in eV/K.  ``kT`` is in eV; pass ``kT = KB * T_elec`` for an
-    electronic temperature in kelvin.  Falls back to the zero-temperature
-    filler for ``kT <= 0`` (μ = HOMO/LUMO midpoint, entropy 0, only for
-    ``weights is None``).
+    electronic temperature in kelvin.  ``kT <= 0`` uses the (weighted)
+    zero-temperature filler, with μ at the midpoint between the highest
+    occupied and lowest empty level and entropy 0.
     """
     eps = np.asarray(eigenvalues, dtype=float)
     if kT <= 0.0:
-        if weights is not None:
-            raise ElectronicError(
-                "zero-temperature weighted filling: use kT > 0 with weights"
-            )
-        f = zero_temperature_occupations(eps, n_electrons)
+        f = zero_temperature_occupations(eps, n_electrons, weights)
         occ = eps[f > 1e-9]
         emp = eps[f < 2.0 - 1e-9]
         if len(occ) and len(emp):

@@ -42,10 +42,10 @@ orbit member is reached by the same number of ops (coset property), so
 with ``w_r`` the summed orbit weight — i.e. accumulate over the wedge,
 then average once over the ops.  The identity needs the per-k solver
 output to respect the stabiliser of ``k_r``, which holds for both the
-diagonalisation and the region-FOE engines on a symmetric structure;
-the one exception is zero-temperature *fractional* filling of a
-degenerate Fermi level (an arbitrary state choice inside a degenerate
-shell) — sample metals at kT > 0, as every solver here already requires.
+diagonalisation and the region-FOE engines on a symmetric structure —
+at zero temperature too, because the filler shares a degenerate Fermi
+shell evenly over all its states
+(:func:`repro.tb.occupations.zero_temperature_occupations`).
 """
 
 from __future__ import annotations

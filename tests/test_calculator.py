@@ -135,3 +135,19 @@ def test_repr_mentions_model_and_mode():
 def test_wrong_species_clear_error(c_diamond):
     with pytest.raises(ModelError, match="does not support"):
         TBCalculator(GSPSilicon()).get_potential_energy(c_diamond)
+
+
+@pytest.mark.parametrize("model_cls", [GSPSilicon, NonOrthogonalSilicon])
+@pytest.mark.parametrize("kT", [0.1, 0.0])
+def test_gamma_is_the_one_kpoint_case(si8_rattled, model_cls, kT):
+    """A 1×1×1 grid is the single k = 0 point of weight 1: it must give
+    the Γ engine's energies, μ, spectrum, forces and virial."""
+    gam = TBCalculator(model_cls(), kT=kT).compute(si8_rattled)
+    one = TBCalculator(model_cls(), kT=kT, kpts=1).compute(si8_rattled)
+    assert one["n_kpoints"] == 1
+    for key in ("energy", "free_energy", "fermi_level"):
+        assert one[key] == pytest.approx(gam[key], abs=1e-11)
+    np.testing.assert_allclose(np.sort(one["eigenvalues"]),
+                               np.sort(gam["eigenvalues"]), atol=1e-11)
+    for key in ("forces", "virial"):
+        np.testing.assert_allclose(one[key], gam[key], atol=1e-11)

@@ -93,10 +93,30 @@ def test_weighted_fermi_level():
     assert float(np.sum(w * f)) == pytest.approx(2.0, abs=1e-6)
 
 
-def test_weighted_zero_t_raises():
-    with pytest.raises(ElectronicError):
-        fermi_dirac_occupations(np.array([0.0, 1.0]), 1.0, 0.0,
-                                weights=np.array([0.5, 0.5]))
+def test_weighted_zero_t_fills_like_its_expansion():
+    """Integer weights stand for repeated states: a weighted spectrum
+    must fill exactly like the unweighted spectrum with each level
+    repeated w times, at zero T through both entry points."""
+    eps = np.array([0.3, -1.0, 0.7, 0.3, -0.2])
+    w = np.array([2, 1, 3, 1, 2])
+    for nelec in (1.0, 5.0, 8.5, 12.0):
+        f = zero_temperature_occupations(eps, nelec, weights=w)
+        f_exp = zero_temperature_occupations(np.repeat(eps, w), nelec)
+        np.testing.assert_allclose(np.repeat(f, w), f_exp, atol=1e-14)
+        assert float(np.sum(w * f)) == pytest.approx(nelec)
+        fd, mu, s = fermi_dirac_occupations(eps, nelec, 0.0, weights=w)
+        np.testing.assert_allclose(fd, f, atol=0)
+        assert s == 0.0 and np.isfinite(mu)
+
+
+def test_weighted_zero_t_degenerate_shell_shares_evenly():
+    """A partly filled shell spanning states of different weight (the
+    same level at inequivalent k points) gets one f on every member."""
+    eps = np.array([-1.0, 0.5, 0.5 + 1e-12, 0.5, 2.0])
+    w = np.array([0.1, 0.4, 0.2, 0.2, 0.1])
+    f = zero_temperature_occupations(eps, 1.0, weights=w)
+    # 0.2 electrons fill the bottom level, 0.8 share the 0.8-weight shell
+    np.testing.assert_allclose(f, [2.0, 1.0, 1.0, 1.0, 0.0], atol=1e-14)
 
 
 # ------------------------------------------------------------------ the

@@ -227,3 +227,19 @@ def test_symmetry_mode_refolds_when_structure_changes():
     ref = TBCalculator(GSPSilicon(), kpts=KGRID, kT=0.1,
                        kgrid_reduce="full").compute(rat, forces=True)
     _check(res, ref, EXACT, EXACT, len(rat))
+
+
+@pytest.mark.parametrize("kpts", [3, 4])
+@pytest.mark.parametrize("reduce", ["full", "trs"])
+def test_zero_t_metal_fills_degenerate_shell_evenly(kpts, reduce):
+    """kT = 0 on symmetric β-tin Si: the Fermi level falls inside a shell
+    of states degenerate across symmetry-equivalent k points.  Filling it
+    evenly keeps every force zero by symmetry and makes the full and
+    time-reversal grids agree with the symmetry wedge."""
+    at = beta_tin_silicon()
+    res = TBCalculator(GSPSilicon(), kT=0.0, kpts=kpts,
+                       kgrid_reduce=reduce).compute(at)
+    ref = TBCalculator(GSPSilicon(), kT=0.0, kpts=kpts,
+                       kgrid_reduce="symmetry").compute(at)
+    assert np.abs(res["forces"]).max() <= 1e-10
+    np.testing.assert_allclose(res["virial"], ref["virial"], atol=1e-10)
